@@ -7,6 +7,9 @@ transfer: x - sqrt(e) is a norm from LE/E iff its norm x^2 - e down to K is a
 norm from L/K.
 
 All grid points are exact rationals, so no precision is ever lost here.
+Norm tests run on square classes: the class of x^2 - e is read off integers,
+and class(x (x^2 - e)) = class(x) class(x^2 - e) is the product of the two
+canonical representatives, so no product is ever formed as a Fraction.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .padic import Rational, SquareClass, rational_is_square
+from .padic import Rational, SquareClass, rational_square_class_rep
 from .quadratic import QuadExt, build_extension
 
 
@@ -55,35 +58,60 @@ class SearchGrid:
         return 5 if p == 2 else 2
 
     def candidates(self, p: int) -> Iterator[Fraction]:
+        """0, then s * p^i in grid order; residues are drawn lazily."""
         yield Fraction(0)
-        k = self.depth(p)
-        residues = [s for s in range(1, p ** k) if s % p != 0]
+        m = p ** self.depth(p)
         vals = sorted(range(-self.max_abs_valuation, self.max_abs_valuation + 1),
                       key=lambda i: (abs(i), i))
         for i in vals:
-            for s in residues:
-                yield Fraction(s) * Fraction(p) ** i
+            scale = Fraction(p) ** i
+            for s in range(1, m):
+                if s % p:
+                    yield s * scale
 
 
 def _extensions(p: int, d: Rational, e: Rational) -> tuple[QuadExt, bool]:
     """(L, L_isomorphic_E); rejects square e (split) and square d."""
-    if rational_is_square(p, e):
+    e_rep = rational_square_class_rep(p, e)
+    if e_rep == 1:
         raise ValueError("e is a square: the split case has no chi map here")
     L = build_extension(p, d)
-    iso = SquareClass.of(p, d) == SquareClass.of(p, e)
-    return L, iso
+    return L, L.d.rep == e_rep
+
+
+def _class_pair(p: int, x: Fraction, e: Fraction) -> Optional[tuple[int, int]]:
+    """Class representatives of x and of x^2 - e for x != 0; None when x^2 = e,
+    which cannot happen for nonsquare e.
+
+    With x = n/m and e = a/b, x^2 - e = (n^2 b - a m^2) / (m^2 b), which lies
+    in the class of (n^2 b - a m^2) b since m^2 b^2 is a square.
+    """
+    n, m = x.numerator, x.denominator
+    a, b = e.numerator, e.denominator
+    t = (n * n * b - a * m * m) * b
+    if t == 0:
+        return None
+    return rational_square_class_rep(p, n * m), rational_square_class_rep(p, t)
+
+
+def _in_M(L: QuadExt, x: Fraction, e: Fraction) -> bool:
+    """in_M with L already built."""
+    if x == 0:
+        return True
+    reps = _class_pair(L.p, x, e)
+    return reps is not None and L.is_norm(reps[0] * reps[1])
+
+
+def _fraction(q: Rational) -> Fraction:
+    return q if isinstance(q, Fraction) else Fraction(q)
 
 
 def in_M(p: int, x: Rational, d: Rational, e: Rational) -> bool:
     """Membership in M: x = 0, or x(x^2 - e) a norm from L."""
-    x, e = Fraction(x), Fraction(e)
+    x, e = _fraction(x), _fraction(e)
     if x == 0:
         return True
-    L = build_extension(p, d)
-    product = x * (x * x - e)
-    if product == 0:
-        return False  # x^2 = e cannot happen for nonsquare e, but be safe
-    return L.is_norm(product)
+    return _in_M(build_extension(p, d), x, e)
 
 
 def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
@@ -93,16 +121,14 @@ def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
     (class of -e, class of -sqrt(e)) for x = 0, with the second coordinate
     computed via the norm transfer and forced to 0 when L = E.
     """
-    x, d, e = Fraction(x), Fraction(d), Fraction(e)
+    x, e = _fraction(x), _fraction(e)
     L, iso = _extensions(p, d, e)
     if not in_M(p, x, d, e):
         raise ValueError(f"x = {x} is not in M; chi is undefined there")
     if x == 0:
-        first_arg = -e
-        second_arg = -e
+        first_arg = second_arg = -e
     else:
-        first_arg = x
-        second_arg = x * x - e
+        first_arg, second_arg = _class_pair(p, x, e)
     first = 0 if L.is_norm(first_arg) else 1
     if iso:
         second = 0  # E*/N(LE*) is trivial when L = E
@@ -115,9 +141,11 @@ def sample_M(p: int, d: Rational, e: Rational,
              grid: Optional[SearchGrid] = None) -> list[Fraction]:
     """All grid points belonging to M (always includes 0)."""
     g = grid or SearchGrid()
-    if rational_is_square(p, e):
+    e = _fraction(e)
+    if rational_square_class_rep(p, e) == 1:
         raise ValueError("e is a square: split case")
-    return [x for x in g.candidates(p) if in_M(p, x, d, e)]
+    L = build_extension(p, d)
+    return [x for x in g.candidates(p) if _in_M(L, x, e)]
 
 
 def find_witness(p: int, d: Rational, e: Rational,
@@ -132,16 +160,16 @@ def find_witness(p: int, d: Rational, e: Rational,
     L, iso = _extensions(p, d, e)
     if iso:
         return None  # chi is diagonal-trivial when L = E
-    e = Fraction(e)
+    e = _fraction(e)
     for x in g.candidates(p):
         if x == 0:
             if not L.is_norm(-e):
                 return x
             continue
-        fx = x * (x * x - e)
-        if fx == 0 or not L.is_norm(fx):
+        reps = _class_pair(p, x, e)
+        if reps is None or not L.is_norm(reps[0] * reps[1]):
             continue
-        if not L.is_norm(x) and not L.is_norm(x * x - e):
+        if not L.is_norm(reps[0]) and not L.is_norm(reps[1]):
             return x
     return None
 

@@ -38,7 +38,11 @@ def _rational(text: str) -> Fraction:
 
 def _prime(text: str) -> int:
     p = int(text)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # beyond the proven range of the test
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not prime:
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 
@@ -64,7 +68,11 @@ def cmd_classify(args) -> int:
         print("error: provide exactly one of --e or --cubic", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.cubic is not None:
-        coeffs = [_rational(t) for t in args.cubic.split(",")]
+        try:
+            coeffs = [_rational(t) for t in args.cubic.split(",")]
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: --cubic: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         if len(coeffs) != 3:
             print("error: --cubic needs a,b,c", file=sys.stderr)
             return EXIT_INPUT_ERROR

@@ -23,7 +23,7 @@ import numpy as np
 
 from .padic import (
     PAdic,
-    SquareClass,
+    class_rep_of,
     epsilon,
     frac_val_unit,
     omega,
@@ -33,15 +33,9 @@ from .padic import (
 )
 
 
-def _class_rep(p: int, x) -> int:
-    """Reduce to the canonical square-class representative (symbols only
-    depend on square classes, and this keeps precision exact)."""
-    return SquareClass.of(p, x).rep
-
-
 def hilbert_2(a, b) -> int:
     """(a,b)_2 by the closed formula on a = 2^alpha u, b = 2^beta v."""
-    ra, rb = _class_rep(2, a), _class_rep(2, b)
+    ra, rb = class_rep_of(2, a), class_rep_of(2, b)
     alpha, u = frac_val_unit(2, ra)
     beta, v = frac_val_unit(2, rb)
     ui, vi = int(u), int(v)
@@ -58,7 +52,7 @@ def hilbert_odd(p: int, a, b) -> int:
     """
     if p == 2:
         raise ValueError("use hilbert_2 for p = 2")
-    ra, rb = _class_rep(p, a), _class_rep(p, b)
+    ra, rb = class_rep_of(p, a), class_rep_of(p, b)
     if rb == 1:
         return 1
     v_b = frac_val_unit(p, rb)[0]
@@ -82,8 +76,8 @@ def hilbert_oracle(p: int, a, b) -> int:
     the solvability criterion for a x^2 + b y^2 = 1.  See the module docstring
     for the Hensel certificate that makes the finite scan exact.
     """
-    ra = _class_rep(p, a)
-    rb = _class_rep(p, b)
+    ra = class_rep_of(p, a)
+    rb = class_rep_of(p, b)
     if ra == 1 or rb == 1:
         return 1
     v2 = 1 if p == 2 else 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
@@ -47,18 +48,40 @@ def precision_floor(p: int) -> int:
     return 3 if p == 2 else 1
 
 
+# Miller-Rabin with the first thirteen primes as bases is deterministic
+# below MR_LIMIT (Sorenson and Webster, 2015); larger n are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < MR_LIMIT; ValueError above it."""
     if n < 2:
         return False
-    if n < 4:
+    # trial division by the bases decides every n < 43^2 and is the fast
+    # path for the small primes of everyday calls
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= MR_LIMIT:
+        raise ValueError(f"{n} is beyond the proven range of the primality "
+                         f"test (n < {MR_LIMIT})")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -101,32 +124,70 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"{p} has no quadratic non-residue; not an odd prime?")
 
 
+@lru_cache(maxsize=256)
+def _class_reps(p: int) -> tuple[int, ...]:
+    if p == 2:
+        return (1, -1, 5, -5, 2, -2, 10, -10)
+    u = smallest_nonresidue(p)
+    return (1, u, p, u * p)
+
+
 def square_class_reps(p: int) -> list[int]:
     """Canonical coset representatives of Q_p^* / (Q_p^*)^2.
 
     Eight classes for p = 2, four for odd p.
     """
+    return list(_class_reps(p))
+
+
+# odd units of Z_2 mod squares, keyed by residue mod 8
+_UNIT_REP_2 = {1: 1, 3: -5, 5: 5, 7: -1}
+
+
+def _strip(p: int, n: int) -> tuple[int, int]:
+    """(v, n / p^v) with v = v_p(n), for a nonzero integer n."""
     if p == 2:
-        return [1, -1, 5, -5, 2, -2, 10, -10]
-    u = smallest_nonresidue(p)
-    return [1, u, p, u * p]
-
-
-def _unit_class_rep_2(u_mod8: int) -> int:
-    # odd units of Z_2 mod squares, keyed by residue mod 8
-    return {1: 1, 3: -5, 5: 5, 7: -1}[u_mod8 % 8]
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 def rational_square_class_rep(p: int, q: Rational) -> int:
-    """Canonical representative of the square class of a nonzero rational in Q_p."""
-    v, u = frac_val_unit(p, q)
+    """Canonical representative of the square class of a nonzero rational in Q_p.
+
+    Integer arithmetic only: p is stripped from the numerator n and the
+    denominator d, and the unit part n'/d' lies in the class of n'd', read
+    from its residue mod 8 (p = 2) or its Legendre symbol (odd p).
+    """
+    if isinstance(q, int):
+        n, d = q, 1
+    else:
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        n, d = q.numerator, q.denominator
+    if n == 0:
+        raise ValueError("valuation of zero is undefined")
+    v, n = _strip(p, n)
+    if d != 1:
+        vd, d = _strip(p, d)
+        v -= vd
+        n *= d
     if p == 2:
-        u8 = (u.numerator * pow(u.denominator, -1, 8)) % 8
-        rep = _unit_class_rep_2(u8)
+        rep = _UNIT_REP_2[n % 8]
         return 2 * rep if v % 2 else rep
-    ur = (u.numerator * pow(u.denominator, -1, p)) % p
-    unit_rep = 1 if legendre(ur, p) == 1 else smallest_nonresidue(p)
+    unit_rep = 1 if pow(n % p, (p - 1) // 2, p) == 1 else _class_reps(p)[1]
     return p * unit_rep if v % 2 else unit_rep
+
+
+def class_rep_of(p: int, x) -> int:
+    """Canonical representative of a nonzero rational, PAdic or SquareClass."""
+    if isinstance(x, (PAdic, SquareClass)):
+        return SquareClass.of(p, x).rep
+    return rational_square_class_rep(p, x)
 
 
 def rational_is_square(p: int, q: Rational) -> bool:
@@ -318,7 +379,7 @@ class PAdic:
     def square_class(self) -> "SquareClass":
         self._require_nonzero()
         if self.p == 2:
-            rep = _unit_class_rep_2(self.unit_residue(3))
+            rep = _UNIT_REP_2[self.unit_residue(3)]
         else:
             u = self.unit_residue(1)
             rep = 1 if legendre(u, self.p) == 1 else smallest_nonresidue(self.p)
@@ -355,7 +416,7 @@ class SquareClass:
     rep: int
 
     def __post_init__(self):
-        if self.rep not in square_class_reps(self.p):
+        if self.rep not in _class_reps(self.p):
             raise ValueError(f"{self.rep} is not a canonical class rep for p={self.p}")
 
     @classmethod

@@ -3,7 +3,9 @@
 The norm-image subgroup of Q_p^*/(Q_p^*)^2 is computed at construction from an
 integer grid of norms a^2 - d*b^2 and closed under multiplication; by local
 class field theory it must have index exactly 2, and anything else is treated
-as an arithmetic bug, never silently corrected.
+as an arithmetic bug, never silently corrected.  It is held as the set of its
+canonical integer representatives, so a norm test is one class reduction and
+one set lookup.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from .padic import (
     PrecisionError,
     SquareClass,
     as_padic,
+    class_rep_of,
     default_precision,
     frac_val_unit,
     rational_is_square,
+    rational_square_class_rep,
     square_class_reps,
 )
 
@@ -139,11 +143,16 @@ class QuadExt:
     s: Optional[int] = None
     pi_L: Optional[QuadExtElem] = field(default=None, compare=False)
     pi_K: Optional[PAdic] = field(default=None, compare=False)
-    norm_classes: frozenset = field(default_factory=frozenset, compare=False)
+    norm_reps: frozenset = field(default_factory=frozenset, compare=False)
+
+    @property
+    def norm_classes(self) -> frozenset:
+        """The norm image as a set of SquareClass values."""
+        return frozenset(SquareClass(self.p, r) for r in self.norm_reps)
 
     def is_norm(self, x) -> bool:
         """x in N_{L/K}L^*, decided on square classes (Prop: norms contain squares)."""
-        return SquareClass.of(self.p, x) in self.norm_classes
+        return class_rep_of(self.p, x) in self.norm_reps
 
     def element(self, a, b) -> QuadExtElem:
         return QuadExtElem(self, a, b)
@@ -154,17 +163,19 @@ class QuadExt:
 
 
 def _norm_class_subgroup(p: int, d_rep: int, limit: int = 8) -> frozenset:
+    """Canonical representatives of the classes of N(L^*)."""
     reps = square_class_reps(p)
-    found = {SquareClass(p, 1)}
+    found = {1}
     for a in range(-limit, limit + 1):
         for b in range(-limit, limit + 1):
             n = a * a - d_rep * b * b
             if n == 0 or (a == 0 and b == 0):
                 continue
-            found.add(SquareClass.of(p, n))
+            found.add(rational_square_class_rep(p, n))
     # close under multiplication
     while True:
-        extra = {x * y for x in found for y in found} - found
+        extra = {rational_square_class_rep(p, x * y)
+                 for x in found for y in found} - found
         if not extra:
             break
         found |= extra
@@ -218,15 +229,14 @@ def _build(p: int, d_rep: int, precision: int) -> QuadExt:
         ramified = d_rep != 5
     else:
         ramified = frac_val_unit(p, d_rep)[0] % 2 == 1
-    norm_classes = _norm_class_subgroup(p, d_rep)
     ext = QuadExt(p=p, d=d, ramified=ramified, precision=precision,
-                  norm_classes=norm_classes)
+                  norm_reps=_norm_class_subgroup(p, d_rep))
     if ramified:
         pi_L = _choose_uniformiser(ext)
         pi_K = pi_L.norm()
         object.__setattr__(ext, "pi_L", pi_L)
         object.__setattr__(ext, "pi_K", pi_K)
-        if pi_K.square_class() not in norm_classes:
+        if not ext.is_norm(pi_K):
             raise NormSubgroupError("N(pi_L) not in the computed norm image")
         if p == 2:
             object.__setattr__(ext, "s", s_invariant(ext))
@@ -235,10 +245,10 @@ def _build(p: int, d_rep: int, precision: int) -> QuadExt:
 
 def build_extension(p: int, d, precision: Optional[int] = None) -> QuadExt:
     """Construct Q_p(sqrt(d)).  Raises ValueError when d is a square (split case)."""
-    cls = SquareClass.of(p, d)
-    if cls.is_trivial:
+    rep = class_rep_of(p, d)
+    if rep == 1:
         raise ValueError("d is a square: K(sqrt(d)) is split, not a field")
-    return _build(p, cls.rep, precision or default_precision(p))
+    return _build(p, rep, precision or default_precision(p))
 
 
 # -- independent norm-membership criteria (odd residue characteristic) -------

@@ -1,5 +1,7 @@
 """The chi invariant on the norm set M and the witness search."""
 
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,3 +133,80 @@ class TestRamifiedDisjunction:
                     if rational_is_square(2, Fraction(e, d)):
                         continue  # isomorphic L, E: outside the disjunction's scope
                     assert verify_ramified_disjunction(d, e), (d, e)
+
+
+class TestLazyGrid:
+    def test_large_prime_witness_within_budget(self):
+        # depth 2 at p = 10007 has ~10^8 unit residues; the grid draws them
+        # lazily, so the witness at the front of the order comes back at once
+        start = time.monotonic()
+        assert find_witness(10007, 10007, 5) == 5
+        assert time.monotonic() - start < 2.0
+
+    def test_order_is_valuation_then_residue(self):
+        g = SearchGrid(max_abs_valuation=1, residue_depth=1)
+        assert [str(x) for x in g.candidates(3)] == [
+            "0", "1", "2", "1/3", "2/3", "3", "6"]
+
+
+# sample_M on the default grid and the concatenated chi string over its
+# members, recorded from the Fraction-based implementation the integer
+# square-class kernel replaced: (p, d, e) -> (member count, sha256 of the
+# comma-joined members, sha256 of the chi string)
+PINNED_DEFAULT_GRID = {
+    (2, 5, 2): (113, "664b2e1cfe257928f0a3b071dd6b3aad778857598af5da5eef09a480c75bd191",
+                "d752113b67d834131330e4a68b57daef10b099b206862d7fcec0d0800b3c092a"),
+    (2, -1, 6): (105, "30d43dd120d1bbc5ca83c3af68b1bb66348ada87484cee6ac77bb3b82a5b108b",
+                 "46d0afb9077ef783dec167a61117c6c30d9f866bdc68e0bd6dc90678de0a0317"),
+    (2, 2, -3): (105, "9d0406c081864c893a438bcfef683b63929da49051a81695c19caaf7d4387cab",
+                 "8cb549a54193627627a2c827b2c5610e6b73112217d3652a6ff99732ca5c540e"),
+    (2, 10, 12): (113, "74c78a4393cf089eac91e59faa36479f4b884f703ac888cdb027f5aefb66290e",
+                  "544edbee316b71a0bc2ef83b975751fec917c02395c9bf7bb4d91eff60ed8911"),
+    (3, 2, 3): (43, "9a255bd07325d7126fe9464a45508c4ceff047ace30888290012d208622c5d95",
+                "53906a54d5a3be0387e3edecb0f358ef825eeab194e4bd321d95140714c804e2"),
+    (3, 3, 2): (40, "629753728b730285529dc6b56cbcdfe7bdc65710595cccbbad2ffa0da89d1ddd",
+                "d6ddb2c44af2bb09cc553587e546458eda018855d4bf3f715e91fe2a6e8629dd"),
+    (5, 2, 5): (141, "aebe06b67377dfd8b8a951b4b23eb2020857b1c21fa339350d91661b0aa96629",
+                "21531f17c29510f5dd8821df3fc5ad799a0212cdbfb3f8aeb996be6f9ce7602d"),
+    (7, 3, 7): (295, "4ae224cb636621376f3d9e46585f61f71ccc23945229131a3760ffe4b89a8654",
+                "b93bb95d6380197c4a1daa30e72039b69d422e6dab0ed52dd18189b118f6f73f"),
+    (13, 2, 2197): (937, "0059c84105c940ed73dcb616a13a9d9df754f334e04a91724fda335ed208e641",
+                    "699d2e2d5e6884286cc53715714301b3c610099c7cb23ca390c4373821fa8ec5"),
+    (2, Fraction(-5, 7), Fraction(3, 8)): (
+        113, "d07e52025e4354ef9cb76e82c59a71b3073537b0e92aae887e7792670be39b97",
+        "fd10601b8f2a7b7c2cad307da892b4a7ddbec6572f202859ade8d6c9f3c31f18"),
+    (5, Fraction(3, 5), Fraction(5, 4)): (
+        131, "1e3622fede76060642565071ff542a92f508b148a80ac52bb984c06266c5efe7",
+        "d90264adf3a4c8c39ac176dac7cd6067f886597c5a5dceb232458fdf3cb7f6fd"),
+    (3, Fraction(6, 5), Fraction(7, 27)): (
+        40, "fd2ae17bc938fbdd36a28a5a9ea8105978286144f5c2dab41f0adcf0210c7904",
+        "4c7f3da0386523b102328418c28d886bb9dc9c555671884e8fcc9bcba407e819"),
+}
+
+PINNED_SMALL_GRID = {
+    (2, 5, 2): (["0", "1", "3", "2", "6"], "1100001111"),
+    (2, -1, 6): (["0", "3", "1/2", "6"], "00110011"),
+    (3, 3, 2): (["0", "2", "5", "8", "2/3", "5/3", "8/3", "6", "15", "24"],
+                "00111111000000000000"),
+}
+
+
+def _chi_string(p, members, d, e):
+    return "".join("%d%d" % chi(p, x, d, e).as_tuple() for x in members)
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("case", sorted(PINNED_DEFAULT_GRID, key=str))
+    def test_default_grid(self, case):
+        p, d, e = case
+        members = sample_M(p, d, e)
+        digest = hashlib.sha256(",".join(map(str, members)).encode()).hexdigest()
+        chis = hashlib.sha256(_chi_string(p, members, d, e).encode()).hexdigest()
+        assert (len(members), digest, chis) == PINNED_DEFAULT_GRID[case]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_SMALL_GRID))
+    def test_small_grid(self, case):
+        p, d, e = case
+        members = sample_M(p, d, e, SearchGrid(max_abs_valuation=1, residue_depth=2))
+        assert ([str(x) for x in members], _chi_string(p, members, d, e)) == \
+            PINNED_SMALL_GRID[case]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,12 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "-p", "5", "--d", "2")
         assert code == 2
 
+    def test_malformed_cubic_exit_two(self, capsys):
+        code, out, err = run(capsys, "classify", "-p", "3", "--d", "2",
+                             "--cubic", "1,x,2")
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_cubic_form(self, capsys):
         code, out, _ = run(capsys, "classify", "-p", "7", "--d", "3",
                            "--cubic", "0,0,-2")
@@ -77,6 +84,19 @@ class TestHilbert:
         code, out, _ = run(capsys, "hilbert", "-p", "2", "--", "-1", "-1")
         assert code == 0
         assert out.strip().startswith("-1")
+
+    def test_large_prime_within_budget(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "hilbert", "-p", "1000000000000000003",
+                           "--", "2", "3")
+        assert code == 0
+        assert time.monotonic() - start < 2.0
+
+    def test_prime_beyond_proven_range_exit_two(self, capsys):
+        code, _, err = run(capsys, "hilbert", "-p", "3317044064679887385962123",
+                           "--", "2", "3")
+        assert code == 2
+        assert "proven range" in err
 
     def test_oracle_flag(self, capsys):
         code, out, _ = run(capsys, "hilbert", "-p", "2", "--oracle", "--",

@@ -1,15 +1,18 @@
 """Core p-adic arithmetic, squareness, square classes, and the unit filtration."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from chatelet.padic import (
+    MR_LIMIT,
     FiltrationCapReached,
     PAdic,
     PrecisionError,
     SquareClass,
     epsilon,
+    is_prime,
     omega,
     rational_square_class_rep,
     smallest_nonresidue,
@@ -210,3 +213,28 @@ def test_serialization_roundtrip():
     d = x.to_dict()
     y = PAdic(d["p"], d["valuation"], d["unit"], d["precision"])
     assert x == y
+
+
+class TestIsPrime:
+    def test_small_values(self):
+        primes = [n for n in range(200)
+                  if n > 1 and all(n % f for f in range(2, n))]
+        assert [n for n in range(200) if is_prime(n)] == primes
+
+    def test_carmichael_number_is_composite(self):
+        start = time.monotonic()
+        assert not is_prime(561)
+        assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+        assert time.monotonic() - start < 0.5
+
+    def test_nineteen_digit_prime_within_budget(self):
+        start = time.monotonic()
+        assert is_prime(1000000000000000003)
+        assert not is_prime(1000000000000000001)
+        assert time.monotonic() - start < 0.5
+
+    def test_refuses_beyond_proven_range(self):
+        first_prime_beyond = 3317044064679887385962123
+        assert first_prime_beyond > MR_LIMIT
+        with pytest.raises(ValueError, match="proven range"):
+            is_prime(first_prime_beyond)
