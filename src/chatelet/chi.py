@@ -21,6 +21,10 @@ from typing import Iterator, Optional
 from .padic import Rational, SquareClass, rational_square_class_rep
 from .quadratic import QuadExt, build_extension
 
+# Largest search grid (points, 0 included) that may be scanned to the end.
+# The default grid has 2,029 points at p = 13 and stays under it to p = 277.
+MAX_GRID_SIZE = 10 ** 6
+
 
 @dataclass(frozen=True)
 class ChiValue:
@@ -47,6 +51,7 @@ class SearchGrid:
     to depth ``residue_depth`` digits (default 5 for p = 2, 2 for odd p).
     Every explicit witness family used in the case analysis lies well inside
     the defaults.  Enumeration order is fixed: 0 first, then by (|i|, i, s).
+    A full scan is refused above MAX_GRID_SIZE points (``check_size``).
     """
 
     max_abs_valuation: int = 6
@@ -56,6 +61,21 @@ class SearchGrid:
         if self.residue_depth is not None:
             return self.residue_depth
         return 5 if p == 2 else 2
+
+    def size(self, p: int) -> int:
+        """Number of candidates: 0, plus (2w+1) valuations times the units
+        mod p^k, that is 1 + (2w+1)(p^k - p^(k-1))."""
+        k = self.depth(p)
+        valuations = max(0, 2 * self.max_abs_valuation + 1)
+        return 1 + valuations * (p ** k - p ** (k - 1) if k > 0 else 0)
+
+    def check_size(self, p: int) -> None:
+        """Refuse, before a point is drawn, a grid above MAX_GRID_SIZE."""
+        size = self.size(p)
+        if size > MAX_GRID_SIZE:
+            raise ValueError(
+                f"search grid has {size} points at p = {p}, above the cap of "
+                f"{MAX_GRID_SIZE}; lower the residue depth or the valuation window")
 
     def candidates(self, p: int) -> Iterator[Fraction]:
         """0, then s * p^i in grid order; residues are drawn lazily."""
@@ -139,8 +159,12 @@ def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
 
 def sample_M(p: int, d: Rational, e: Rational,
              grid: Optional[SearchGrid] = None) -> list[Fraction]:
-    """All grid points belonging to M (always includes 0)."""
+    """All grid points belonging to M (always includes 0).
+
+    The whole grid is scanned, so one above MAX_GRID_SIZE is refused.
+    """
     g = grid or SearchGrid()
+    g.check_size(p)
     e = _fraction(e)
     if rational_square_class_rep(p, e) == 1:
         raise ValueError("e is a square: split case")

@@ -48,12 +48,17 @@ def _prime(text: str) -> int:
 
 
 def _grid(args) -> SearchGrid:
+    """The grid of --window/--depth.  A grid that will be searched is refused
+    above its size cap here, outside any handler, so main exits 2."""
     kwargs = {}
     if getattr(args, "window", None) is not None:
         kwargs["max_abs_valuation"] = args.window
     if getattr(args, "depth", None) is not None:
         kwargs["residue_depth"] = args.depth
-    return SearchGrid(**kwargs)
+    grid = SearchGrid(**kwargs)
+    if getattr(args, "with_witness", True):
+        grid.check_size(args.p)
+    return grid
 
 
 def _emit(args, payload: dict, human: str) -> None:

@@ -6,13 +6,26 @@
 * a brute-force conic-solvability oracle used as ground truth.
 
 The oracle decides isotropy of z^2 = a x^2 + b y^2 (equivalent to solvability
-of a x^2 + b y^2 = 1) by scanning primitive residue triples modulo p^k with
-k = 2*(v(2) + max(v(a), v(b))) + 1 after reduction to square-class
-representatives.  A primitive triple has a unit coordinate, so the gradient
-(2ax, 2by, 2z) has valuation at most delta = v(2) + max(v(a), v(b)); a root of
-the form mod p^{2*delta+1} therefore lifts to an exact p-adic zero by Hensel's
-criterion, and every exact primitive zero reduces to such a root.  The scan is
-exhaustive, so -1 is always certified; there is no inconclusive outcome.
+of a x^2 + b y^2 = 1) by an exhaustive search for primitive residue triples
+modulo m = p^k, k = 2*(v(2) + max(v(a), v(b))) + 1, after reduction to
+square-class representatives.  A primitive triple has a unit coordinate, so
+the gradient (2ax, 2by, 2z) has valuation at most delta = v(2) + max(v(a),
+v(b)); a root of the form mod p^{2*delta+1} therefore lifts to an exact p-adic
+zero by Hensel's criterion, and every exact primitive zero reduces to such a
+root.
+
+Multiplying a primitive root by the inverse of one of its unit coordinates
+gives a primitive root with that coordinate equal to 1, so a root exists iff
+one of
+
+    a x^2 + b y^2 = 1   (z = 1),   z^2 - a x^2 = b   (y = 1),
+    z^2 - b y^2 = a     (x = 1)
+
+is solvable mod m.  Each is one length-m vector of squares looked up in a
+boolean table of the residues a x^2 (or b y^2) mod m: O(m) time and memory.
+The search is exhaustive, so -1 is always certified; there is no inconclusive
+outcome.  Moduli above MAX_ORACLE_MODULUS are refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -21,16 +34,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import (
-    PAdic,
-    class_rep_of,
-    epsilon,
-    frac_val_unit,
-    omega,
-    rational_is_square,
-    smallest_nonresidue,
-    square_class_reps,
-)
+from .padic import class_rep_of, epsilon, frac_val_unit, omega, rational_is_square
+
+# Largest modulus p^k the conic oracle will scan: its work and memory are
+# O(p^k), and the cap keeps every residue product inside int64.
+MAX_ORACLE_MODULUS = 2 ** 22
 
 
 def hilbert_2(a, b) -> int:
@@ -73,8 +81,11 @@ def hilbert_oracle(p: int, a, b) -> int:
     """Ground-truth conic oracle: certified exhaustive residue search.
 
     Returns +1 iff z^2 - a x^2 - b y^2 has a nontrivial p-adic zero, which is
-    the solvability criterion for a x^2 + b y^2 = 1.  See the module docstring
-    for the Hensel certificate that makes the finite scan exact.
+    the solvability criterion for a x^2 + b y^2 = 1.  The search sets one
+    unit coordinate to 1 and scans the other two through a table of squares
+    mod m = p^k; see the module docstring for why that is exhaustive and for
+    the Hensel certificate that makes the finite search exact.  Raises
+    ValueError when m exceeds MAX_ORACLE_MODULUS.
     """
     ra = class_rep_of(p, a)
     rb = class_rep_of(p, b)
@@ -84,21 +95,21 @@ def hilbert_oracle(p: int, a, b) -> int:
     delta = v2 + max(frac_val_unit(p, ra)[0], frac_val_unit(p, rb)[0])
     k = 2 * delta + 1
     m = p ** k
-    x = np.arange(m, dtype=np.int64)
-    ax2 = (ra * x * x) % m
-    hit_any = np.zeros(m, dtype=bool)
-    hit_any[ax2] = True
-    hit_unit = np.zeros(m, dtype=bool)
-    hit_unit[ax2[x % p != 0]] = True
-    y = x
-    z = x
-    w = (z[None, :] * z[None, :] - rb * y[:, None] * y[:, None]) % m
-    if hit_unit[w].any():
+    if m > MAX_ORACLE_MODULUS:
+        raise ValueError(f"conic oracle modulus {p}^{k} exceeds the cap "
+                         f"{MAX_ORACLE_MODULUS}")
+    am, bm = ra % m, rb % m
+    t = np.arange(m, dtype=np.int64)
+    sq = t * t % m  # entries below m <= 2^22: every product here fits int64
+    ax2 = np.zeros(m, dtype=bool)
+    ax2[am * sq % m] = True
+    if ax2[(1 - bm * sq) % m].any():  # z = 1
         return 1
-    yz_primitive = (y[:, None] % p != 0) | (z[None, :] % p != 0)
-    if (hit_any[w] & yz_primitive).any():
+    if ax2[(sq - bm) % m].any():  # y = 1
         return 1
-    return -1
+    by2 = np.zeros(m, dtype=bool)
+    by2[bm * sq % m] = True
+    return 1 if by2[(sq - am) % m].any() else -1  # x = 1
 
 
 def symbol_route(p: int) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chatelet.chi import ChiValue, SearchGrid, chi, find_witness, in_M, sample_M, verify_ramified_disjunction
+from chatelet.chi import MAX_GRID_SIZE, ChiValue, SearchGrid, chi, find_witness, in_M, sample_M, verify_ramified_disjunction
 from chatelet.padic import rational_is_square
 from chatelet.quadratic import build_extension
 
@@ -103,6 +103,26 @@ class TestSearchGrid:
             if x == 0:
                 continue
             assert abs(frac_val_unit(5, x)[0]) <= 3
+
+
+    @pytest.mark.parametrize("p,window,depth", [
+        (2, 3, 4), (3, 1, 1), (5, 0, 2), (7, 2, 0), (2, -1, 3)])
+    def test_size_counts_candidates(self, p, window, depth):
+        g = SearchGrid(max_abs_valuation=window, residue_depth=depth)
+        assert g.size(p) == len(list(g.candidates(p)))
+
+    def test_default_grids_are_under_the_cap(self):
+        assert SearchGrid().size(13) == 2029
+        for p in (2, 3, 5, 7, 11, 13):
+            SearchGrid().check_size(p)
+
+    def test_sample_M_refuses_grid_above_cap(self):
+        g = SearchGrid(residue_depth=40)
+        assert g.size(2) == 1 + 13 * 2 ** 39 > MAX_GRID_SIZE
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="above the cap"):
+            sample_M(2, 5, 3, g)
+        assert time.monotonic() - start < 1.0
 
 
 class TestRamifiedDisjunction:

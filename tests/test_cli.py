@@ -104,6 +104,15 @@ class TestHilbert:
         assert code == 0
         assert "-1" in out and "oracle" in out
 
+    def test_oracle_above_cap_exit_two(self, capsys):
+        # m = 1000003^3, far above the oracle's modulus cap
+        start = time.monotonic()
+        code, out, err = run(capsys, "hilbert", "-p", "1000003", "--oracle",
+                             "--", "2", "1000003")
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and out == ""
+        assert time.monotonic() - start < 2.0
+
 
 class TestWitness:
     def test_witness_output(self, capsys):
@@ -117,6 +126,29 @@ class TestWitness:
                            "--window", "3", "--depth", "4")
         assert code == 0
         assert "no witness" in out
+
+    def test_grid_above_cap_exit_two(self, capsys):
+        # a {0} surface: the 13 * 2^39-point grid would be scanned to the end
+        start = time.monotonic()
+        code, out, err = run(capsys, "witness", "-p", "2", "--d", "5", "--e", "3",
+                             "--depth", "40")
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and out == ""
+        assert time.monotonic() - start < 2.0
+
+    def test_classify_with_witness_grid_above_cap_exit_two(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "classify", "-p", "2", "--d", "5", "--e", "2",
+                             "--with-witness", "--depth", "40")
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and out == ""
+        assert time.monotonic() - start < 2.0
+
+    def test_unsearched_grid_is_not_refused(self, capsys):
+        code, out, _ = run(capsys, "classify", "-p", "2", "--d", "5", "--e", "2",
+                           "--depth", "40")
+        assert code == 0
+        assert out.startswith("Z/2Z")
 
 
 class TestGlobal:

@@ -1,14 +1,56 @@
 """Hilbert symbols over Q_p: closed formulas against the certified conic oracle."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chatelet.hilbert import hilbert, hilbert_2, hilbert_odd, hilbert_oracle, symbol_route
-from chatelet.padic import rational_is_square, square_class_reps
+from chatelet.hilbert import (
+    MAX_ORACLE_MODULUS,
+    hilbert,
+    hilbert_2,
+    hilbert_odd,
+    hilbert_oracle,
+    symbol_route,
+)
+from chatelet.padic import (
+    class_rep_of,
+    frac_val_unit,
+    is_prime,
+    rational_is_square,
+    smallest_nonresidue,
+    square_class_reps,
+)
 from chatelet.quadratic import build_extension
 
 PRIMES = [2, 3, 5, 7, 13]
+REFERENCE_PRIMES = (2, 3, 5, 7)  # m <= 343, so the m x m reference stays small
+
+
+def grid_scan_oracle(p, a, b):
+    """The m x m primitive-pair scan that hilbert_oracle replaced, kept as an
+    independent reference: some (y, z) with z^2 - b y^2 in the table of a x^2,
+    x a unit, or (y, z) primitive and any x."""
+    ra, rb = class_rep_of(p, a), class_rep_of(p, b)
+    if ra == 1 or rb == 1:
+        return 1
+    delta = (p == 2) + max(frac_val_unit(p, ra)[0], frac_val_unit(p, rb)[0])
+    m = p ** (2 * delta + 1)
+    x = np.arange(m, dtype=np.int64)
+    ax2 = (ra * x * x) % m
+    hit_any = np.zeros(m, dtype=bool)
+    hit_any[ax2] = True
+    hit_unit = np.zeros(m, dtype=bool)
+    hit_unit[ax2[x % p != 0]] = True
+    w = (x[None, :] * x[None, :] - rb * x[:, None] * x[:, None]) % m
+    if hit_unit[w].any():
+        return 1
+    yz_primitive = (x[:, None] % p != 0) | (x[None, :] % p != 0)
+    return 1 if (hit_any[w] & yz_primitive).any() else -1
 
 
 class TestKnownValues:
@@ -78,7 +120,7 @@ class TestAlgebraicLaws:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p", PRIMES + [q for q in range(17, 62) if is_prime(q)])
     def test_all_class_pairs(self, p):
         reps = square_class_reps(p)
         for a in reps:
@@ -89,6 +131,54 @@ class TestOracleAgreement:
         assert hilbert_oracle(2, 20, -8) == hilbert(2, 20, -8)
         assert hilbert_oracle(3, Fraction(2, 3), 12) == \
             hilbert(3, Fraction(2, 3), 12)
+
+
+class TestOracleScan:
+    @pytest.mark.parametrize("p", REFERENCE_PRIMES)
+    def test_matches_grid_scan_on_class_pairs(self, p):
+        reps = square_class_reps(p)
+        for a in reps:
+            for b in reps:
+                assert hilbert_oracle(p, a, b) == grid_scan_oracle(p, a, b), (p, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_grid_scan_on_noncanonical_rationals(self, data):
+        p = data.draw(st.sampled_from(REFERENCE_PRIMES))
+        qa, qb = (data.draw(st.sampled_from(square_class_reps(p))) for _ in "ab")
+        lam = st.fractions().filter(bool)
+        a, b = qa * data.draw(lam) ** 2, qb * data.draw(lam) ** 2
+        assert hilbert_oracle(p, a, b) == grid_scan_oracle(p, qa, qb)
+
+    @pytest.mark.parametrize("p", [31, 101])
+    def test_full_scan_within_budget(self, p):
+        # a nonsquare unit against p: the symbol is -1, so all three
+        # coordinate cases run over m = p^3
+        u = smallest_nonresidue(p)
+        start = time.monotonic()
+        assert hilbert_oracle(p, u, p) == hilbert(p, u, p) == -1
+        assert time.monotonic() - start < 1.0
+
+    def test_memory_is_linear_in_m(self):
+        # m = 31^3 = 29791: the m x m table would take 7.1 GB
+        tracemalloc.start()
+        try:
+            hilbert_oracle(31, 3, 31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_refuses_modulus_above_cap_before_allocating(self):
+        assert 1000003 ** 3 > MAX_ORACLE_MODULUS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                hilbert_oracle(1000003, 2, 1000003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestNormLink:
