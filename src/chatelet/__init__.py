@@ -1,20 +1,11 @@
 """Degree-zero Chow groups of Chatelet surfaces over p-adic fields.
 
-Exact p-adic arithmetic, Hilbert symbols, norm subgroups of quadratic
+Exact square classes of Q_p, Hilbert symbols, norm subgroups of quadratic
 extensions, and the closed-form local classifier, all cross-checked by
 brute-force oracles.
 """
 
-from .padic import (
-    FiltrationCapReached,
-    PAdic,
-    PrecisionError,
-    SquareClass,
-    epsilon,
-    omega,
-    set_default_precision,
-    square_class_reps,
-)
+from .padic import SquareClass, epsilon, omega, square_class_reps
 from .quadratic import QuadExt, QuadExtElem, build_extension, s_invariant
 from .hilbert import hilbert, hilbert_2, hilbert_odd, hilbert_oracle
 from .surface import (
@@ -29,13 +20,12 @@ from .chi import ChiValue, SearchGrid, chi, find_witness, in_M, sample_M, verify
 from .globalq import PlaceReport, bad_places, classify_all_places
 
 __all__ = [
-    "ChiValue", "FiltrationCapReached", "LocalChowResult", "Outcome", "PAdic",
-    "PlaceReport", "PrecisionError", "QuadExt", "QuadExtElem", "SearchGrid",
-    "SquareClass", "bad_places", "build_extension", "chi", "classify_all_places",
-    "classify_cubic", "classify_pair", "count_roots_cubic", "epsilon",
-    "find_witness", "hilbert", "hilbert_2", "hilbert_odd", "hilbert_oracle",
-    "in_M", "normalize_pair", "omega", "sample_M", "s_invariant",
-    "set_default_precision", "square_class_reps", "verify_ramified_disjunction",
+    "ChiValue", "LocalChowResult", "Outcome", "PlaceReport", "QuadExt",
+    "QuadExtElem", "SearchGrid", "SquareClass", "bad_places", "build_extension",
+    "chi", "classify_all_places", "classify_cubic", "classify_pair",
+    "count_roots_cubic", "epsilon", "find_witness", "hilbert", "hilbert_2",
+    "hilbert_odd", "hilbert_oracle", "in_M", "normalize_pair", "omega",
+    "sample_M", "s_invariant", "square_class_reps", "verify_ramified_disjunction",
 ]
 
 __version__ = "0.1.0"

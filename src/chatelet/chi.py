@@ -6,7 +6,7 @@ coordinate (the class of x - sqrt(e) upstairs) is evaluated through the norm
 transfer: x - sqrt(e) is a norm from LE/E iff its norm x^2 - e down to K is a
 norm from L/K.
 
-All grid points are exact rationals, so no precision is ever lost here.
+All grid points are exact rationals.
 Norm tests run on square classes: the class of x^2 - e is read off integers,
 and class(x (x^2 - e)) = class(x) class(x^2 - e) is the product of the two
 canonical representatives, so no product is ever formed as a Fraction.

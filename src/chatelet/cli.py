@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import padic
 from .chi import SearchGrid, chi, find_witness, in_M
 from .globalq import DISCLAIMER, GlobalSplitError, bad_places, classify_all_places
 from .hilbert import hilbert, hilbert_oracle, symbol_route
@@ -179,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, grid=False):
         sp.add_argument("--json", action="store_true", help="emit JSON")
-        sp.add_argument("--precision", type=int, default=None,
-                        help="override the p-adic working precision")
         if grid:
             sp.add_argument("--window", type=int, default=None,
                             help="search-grid valuation window half-width")
@@ -236,18 +232,10 @@ def main(argv=None) -> int:
         # argparse exits itself on bad flags; fold that into our exit codes
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
-        precision = getattr(args, "precision", None)
-        if precision is None:
-            env_prec = os.environ.get("CHATELET_PRECISION")
-            if env_prec is not None:
-                precision = int(env_prec)
-        padic.set_default_precision(precision)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    finally:
-        padic.set_default_precision(None)
 
 
 if __name__ == "__main__":

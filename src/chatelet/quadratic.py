@@ -13,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .padic import (
-    FiltrationCapReached,
-    PAdic,
-    PrecisionError,
     SquareClass,
-    as_padic,
     class_rep_of,
-    default_precision,
     frac_val_unit,
     rational_is_square,
     rational_square_class_rep,
@@ -38,8 +33,8 @@ class QuadExtElem:
     """a + b*sqrt(d) with exact rational coordinates in the base field.
 
     Elements are always assembled from rational data (uniformisers, unit
-    representatives), so the coordinates stay exact; norms and valuations are
-    then free of precision loss even when conjugate products cancel exactly.
+    representatives), so the coordinates, norms and valuations are exact,
+    even when conjugate products cancel.
     """
 
     __slots__ = ("parent", "a", "b")
@@ -63,12 +58,9 @@ class QuadExtElem:
     def conjugate(self) -> "QuadExtElem":
         return QuadExtElem(self.parent, self.a, -self.b)
 
-    def norm_rational(self) -> Fraction:
+    def norm(self) -> Fraction:
+        """N_{L/K}(a + b sqrt(d)) = a^2 - d b^2, an exact rational."""
         return self.a * self.a - self.parent.d.rep * self.b * self.b
-
-    def norm(self) -> PAdic:
-        """N_{L/K}(a + b sqrt(d)) = a^2 - d b^2, as a base-field value."""
-        return as_padic(self.parent.p, self.norm_rational(), self.parent.precision)
 
     def __mul__(self, other) -> "QuadExtElem":
         o = self._coerce(other)
@@ -100,7 +92,7 @@ class QuadExtElem:
         o = self._coerce(other)
         if o.is_zero:
             raise ZeroDivisionError("division by zero in extension field")
-        n = o.norm_rational()
+        n = o.norm()
         num = self * o.conjugate()
         return QuadExtElem(self.parent, num.a / n, num.b / n)
 
@@ -108,20 +100,11 @@ class QuadExtElem:
         """v_L, normalized so v_L(pi_L) = 1 when ramified, v_L = v_K unramified."""
         if self.is_zero:
             raise ZeroDivisionError("valuation of zero")
-        vn = frac_val_unit(self.parent.p, self.norm_rational())[0]
+        vn = frac_val_unit(self.parent.p, self.norm())[0]
         if self.parent.ramified:
             return vn
         assert vn % 2 == 0
         return vn // 2
-
-    def filtration_level_in(self) -> int:
-        """Largest i with this unit in U_{i,L}; i.e. v_L(1 - x)."""
-        if self.valuation() != 0:
-            raise ValueError("filtration level is defined for units only")
-        diff = 1 - self
-        if diff.is_zero:
-            raise FiltrationCapReached("x = 1 exactly")
-        return diff.valuation()
 
     def __repr__(self):
         return f"({self.a}) + ({self.b})*sqrt({self.parent.d.rep})"
@@ -133,16 +116,15 @@ class QuadExt:
 
     Immutable; the norm-image subgroup of the square-class group is computed
     eagerly and cached in the value.  For ramified L a uniformiser pi_L is
-    fixed deterministically and pi_K = N(pi_L).
+    fixed deterministically and pi_K = N(pi_L) is an exact rational.
     """
 
     p: int
     d: SquareClass
     ramified: bool
-    precision: int
     s: Optional[int] = None
     pi_L: Optional[QuadExtElem] = field(default=None, compare=False)
-    pi_K: Optional[PAdic] = field(default=None, compare=False)
+    pi_K: Optional[Fraction] = field(default=None, compare=False)
     norm_reps: frozenset = field(default_factory=frozenset, compare=False)
 
     @property
@@ -199,12 +181,12 @@ def _choose_uniformiser(ext: QuadExt) -> QuadExtElem:
     if v_d == 1:
         return ext.element(0, 1)
     cand = ext.element(1, 1)
-    if cand.norm().valuation == 1:
+    if cand.valuation() == 1:
         return cand
     for a in range(1, 10):
         for b in range(1, 10):
             cand = ext.element(a, b)
-            if not cand.is_zero and cand.norm().valuation == 1:
+            if not cand.is_zero and cand.valuation() == 1:
                 return cand
     raise NormSubgroupError("no uniformiser found; arithmetic bug")
 
@@ -223,14 +205,13 @@ def s_invariant(ext: QuadExt) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build(p: int, d_rep: int, precision: int) -> QuadExt:
+def _build(p: int, d_rep: int) -> QuadExt:
     d = SquareClass(p, d_rep)
     if p == 2:
         ramified = d_rep != 5
     else:
         ramified = frac_val_unit(p, d_rep)[0] % 2 == 1
-    ext = QuadExt(p=p, d=d, ramified=ramified, precision=precision,
-                  norm_reps=_norm_class_subgroup(p, d_rep))
+    ext = QuadExt(p=p, d=d, ramified=ramified, norm_reps=_norm_class_subgroup(p, d_rep))
     if ramified:
         pi_L = _choose_uniformiser(ext)
         pi_K = pi_L.norm()
@@ -243,30 +224,23 @@ def _build(p: int, d_rep: int, precision: int) -> QuadExt:
     return ext
 
 
-def build_extension(p: int, d, precision: Optional[int] = None) -> QuadExt:
+def build_extension(p: int, d) -> QuadExt:
     """Construct Q_p(sqrt(d)).  Raises ValueError when d is a square (split case)."""
     rep = class_rep_of(p, d)
     if rep == 1:
         raise ValueError("d is a square: K(sqrt(d)) is split, not a field")
-    return _build(p, rep, precision or default_precision(p))
+    return _build(p, rep)
 
 
 # -- independent norm-membership criteria (odd residue characteristic) -------
 
 def norm_criterion_unramified(p: int, x) -> bool:
     """Unramified F/K: x is a norm iff v_K(x) is even."""
-    if isinstance(x, PAdic):
-        x._require_nonzero()
-        return x.valuation % 2 == 0
     return frac_val_unit(p, x)[0] % 2 == 0
 
 
 def norm_criterion_ramified(p: int, x, pi_K) -> bool:
     """Ramified F/K with pi_K = N(pi_F): x is a norm iff x/pi_K^v(x) is a square."""
-    if isinstance(x, PAdic) or isinstance(pi_K, PAdic):
-        xv = as_padic(p, x)
-        pk = as_padic(p, pi_K)
-        return (xv / pk ** xv.valuation).is_square()
     v = frac_val_unit(p, x)[0]
     return rational_is_square(p, Fraction(x) / Fraction(pi_K) ** v)
 
@@ -285,9 +259,7 @@ def is_norm_valuation_criteria(p: int, x, ext: QuadExt) -> bool:
     if p == 2:
         from .hilbert import hilbert_2
         return hilbert_2(x, ext.d.rep) == 1
-    pi_K = Fraction(ext.pi_K.unit_residue(ext.pi_K.precision)) * \
-        Fraction(p) ** ext.pi_K.valuation
-    return norm_criterion_ramified(p, x, pi_K)
+    return norm_criterion_ramified(p, x, ext.pi_K)
 
 
 # -- the lambda maps on the unit filtration ----------------------------------
@@ -296,17 +268,15 @@ def lambda_base(ext: QuadExt, i: int, x) -> int:
     """lambda_{i,K}(1 + theta*pi_K^i) = theta mod 2, for x in U_{i,K}.
 
     Uses pi_K = N(pi_L) of the given ramified extension.  Vanishes exactly
-    on U_{i+1,K}.
+    on U_{i+1,K}.  The level of x is v_K(1 - x), read off the rational.
     """
     if ext.pi_K is None:
         raise ValueError("lambda_base needs a ramified extension (for pi_K)")
-    xv = as_padic(ext.p, x, ext.precision)
-    if xv.is_zero or xv.valuation != 0:
+    if x == 0 or frac_val_unit(ext.p, x)[0] != 0:
         raise ValueError(f"argument not in U_{i}")
-    try:
-        level = xv.filtration_level()
-    except FiltrationCapReached:
-        return 0  # x = 1 to full precision: theta vanishes at any tested depth
+    if x == 1:
+        return 0  # 1 lies in every U_i, so theta = 0
+    level = frac_val_unit(ext.p, 1 - x)[0]
     if level < i:
         raise ValueError(f"argument not in U_{i}")
     return 1 if level == i else 0
@@ -318,10 +288,10 @@ def lambda_ext(ext: QuadExt, i: int, x: QuadExtElem) -> int:
         raise ValueError("lambda_ext needs a ramified extension")
     if x.valuation() != 0:
         raise ValueError("argument is not a unit of L")
-    try:
-        level = x.filtration_level_in()
-    except (PrecisionError, ZeroDivisionError):
-        return 0  # x = 1 to full precision
+    diff = 1 - x
+    if diff.is_zero:
+        return 0  # 1 lies in every U_{i,L}, so theta = 0
+    level = diff.valuation()
     if level < i:
         raise ValueError(f"argument not in U_{{{i},L}}")
     # theta = (x-1)/pi_L^i is a unit iff v_L(1-x) is exactly i

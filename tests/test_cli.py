@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, JSON output, schema conformance."""
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -53,6 +52,12 @@ class TestClassify:
                              "--cubic", "1,x,2")
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    def test_precision_option_is_gone(self, capsys):
+        # every value is exact, so there is no working precision to set
+        code, _, _ = run(capsys, "classify", "-p", "2", "--d", "5", "--e", "2",
+                         "--precision", "30")
+        assert code == 2
 
     def test_cubic_form(self, capsys):
         code, out, _ = run(capsys, "classify", "-p", "7", "--d", "3",
@@ -177,23 +182,4 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nosuch")
-        assert code == 2
-
-
-class TestPrecision:
-    def test_flag_round_trips(self, capsys):
-        code, out, _ = run(capsys, "classify", "-p", "2", "--d", "5",
-                           "--e", "2", "--precision", "30")
-        assert code == 0
-
-    def test_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHATELET_PRECISION", "20")
-        code, out, _ = run(capsys, "classify", "-p", "3", "--d", "2",
-                           "--e", "3")
-        assert code == 0
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHATELET_PRECISION", "zero")
-        code, _, err = run(capsys, "classify", "-p", "3", "--d", "2",
-                           "--e", "3")
         assert code == 2

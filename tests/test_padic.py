@@ -1,4 +1,4 @@
-"""Core p-adic arithmetic, squareness, square classes, and the unit filtration."""
+"""Square classes, squareness, epsilon/omega, the unit filtration and primality."""
 
 import time
 from fractions import Fraction
@@ -7,17 +7,17 @@ import pytest
 
 from chatelet.padic import (
     MR_LIMIT,
-    FiltrationCapReached,
-    PAdic,
-    PrecisionError,
     SquareClass,
     epsilon,
+    frac_val_unit,
     is_prime,
     omega,
+    rational_is_square,
     rational_square_class_rep,
     smallest_nonresidue,
     square_class_reps,
 )
+from chatelet.quadratic import build_extension, lambda_base
 
 
 def brute_is_square_unit(p, u, k):
@@ -30,67 +30,41 @@ def brute_is_square_unit(p, u, k):
     return any(y * y % m == u % m for y in range(m))
 
 
-def test_integer_arithmetic_embeds():
-    a = PAdic.from_rational(2, 3)
-    b = PAdic.from_rational(2, 5)
-    assert (a * b) == 15
-    assert (a * b).valuation == 0
-
-
 def test_valuation_and_unit_of_12():
-    x = PAdic.from_rational(2, 12)
-    assert x.valuation == 2
-    assert x.unit % 8 == 3
-
-
-def test_division_identity():
-    fifth = PAdic.from_rational(5, Fraction(1, 5))
-    assert (fifth * 5) == 1
+    assert frac_val_unit(2, 12) == (2, 3)
 
 
 def test_product_valuation_is_sum():
-    x = PAdic.from_rational(3, 18)
-    y = PAdic.from_rational(3, Fraction(2, 27))
-    assert (x * y).valuation == x.valuation + y.valuation
+    x, y = 18, Fraction(2, 27)
+    assert frac_val_unit(3, x * y)[0] == \
+        frac_val_unit(3, x)[0] + frac_val_unit(3, y)[0]
 
 
-def test_full_cancellation_raises():
-    x = PAdic.from_rational(7, 10)
-    with pytest.raises(PrecisionError):
-        x - 10
-
-
-def test_division_by_zero():
-    x = PAdic.from_rational(5, 3)
-    with pytest.raises(ZeroDivisionError):
-        x / PAdic.zero(5)
-
-
-def test_zero_is_tagged_and_rejected_by_class_ops():
-    z = PAdic.zero(2)
-    assert z.is_zero
-    with pytest.raises(ZeroDivisionError):
-        z.square_class()
-    with pytest.raises(ZeroDivisionError):
-        z.is_square()
+def test_zero_rejected_by_class_ops():
+    for op in (frac_val_unit, rational_square_class_rep, rational_is_square,
+               SquareClass.of):
+        with pytest.raises(ValueError):
+            op(2, 0)
 
 
 def test_mixed_primes_rejected():
     with pytest.raises(ValueError):
-        PAdic.from_rational(2, 3) * PAdic.from_rational(3, 2)
+        SquareClass(2, -5) * SquareClass(3, 2)
+    with pytest.raises(ValueError):
+        SquareClass.of(3, SquareClass(2, 5))
 
 
 class TestIsSquare:
     def test_17_is_square_in_q2(self):
         # independent route: a residue root of y^2 = 17 mod 8 Hensel-lifts
         assert brute_is_square_unit(2, 17, 3)
-        assert PAdic.from_rational(2, 17).is_square()
+        assert rational_is_square(2, 17)
 
     def test_2_is_not_square_in_q2(self):
-        assert not PAdic.from_rational(2, 2).is_square()
+        assert not rational_is_square(2, 2)
 
     def test_4_is_square_in_q5(self):
-        assert PAdic.from_rational(5, 4).is_square()
+        assert rational_is_square(5, 4)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_matches_brute_force_on_units(self, p):
@@ -99,23 +73,22 @@ class TestIsSquare:
             if u % p == 0:
                 continue
             expect = brute_is_square_unit(p, u, k)
-            assert PAdic.from_rational(p, u).is_square() == expect
+            assert rational_is_square(p, u) == expect
 
 
 class TestSquareClass:
     def test_12_is_class_minus5_in_q2(self):
-        cls = PAdic.from_rational(2, 12).square_class()
-        assert cls.rep == -5
+        assert rational_square_class_rep(2, 12) == -5
         # certificate: 12 / (-5) is a square
-        assert PAdic.from_rational(2, Fraction(12, -5)).is_square()
+        assert rational_is_square(2, Fraction(12, -5))
 
     def test_9_is_trivial(self):
-        assert PAdic.from_rational(2, 9).square_class().rep == 1
+        assert rational_square_class_rep(2, 9) == 1
 
     def test_5_in_q3_is_the_nonresidue(self):
         assert smallest_nonresidue(3) == 2
-        assert PAdic.from_rational(3, 5).square_class().rep == 2
-        assert PAdic.from_rational(3, Fraction(5, 2)).is_square()
+        assert rational_square_class_rep(3, 5) == 2
+        assert rational_is_square(3, Fraction(5, 2))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_every_value_maps_to_exactly_one_rep(self, p):
@@ -138,10 +111,14 @@ class TestSquareClass:
                 assert rational_square_class_rep(p, x * y * y) == base
 
     def test_is_square_iff_trivial_class(self):
+        # certificate: even valuation and a residue root of the unit part
         for p in (2, 5):
+            k = 3 if p == 2 else 1
             for n in range(1, 40):
-                x = PAdic.from_rational(p, n)
-                assert x.is_square() == (x.square_class().rep == 1)
+                v, u = frac_val_unit(p, n)
+                expect = v % 2 == 0 and brute_is_square_unit(p, int(u), k)
+                assert rational_is_square(p, n) == expect
+                assert (rational_square_class_rep(p, n) == 1) == expect
 
     def test_class_group_multiplication(self):
         a = SquareClass(2, -5)
@@ -171,28 +148,62 @@ class TestEpsilonOmega:
         with pytest.raises(ValueError):
             epsilon(4)
 
-    def test_accepts_padic_unit(self):
-        assert epsilon(PAdic.from_rational(2, -1)) == 1
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rational_units_read_mod8(self, sign):
+        # n/d = n * d^-1 mod 8 for odd n and d
+        for n in range(1, 64, 2):
+            for d in range(1, 64, 2):
+                z8 = pow(d, -1, 8) * sign * n % 8
+                assert epsilon(Fraction(sign * n, d)) == (z8 - 1) // 2 % 2
+                assert omega(Fraction(sign * n, d)) == (z8 * z8 - 1) // 8 % 2
+
+    def test_rational_unit_examples(self):
+        assert omega(Fraction(9, 5)) == 1  # 9 * 5^-1 = 5 mod 8
+        assert epsilon(Fraction(7, 3)) == 0  # 7 * 3^-1 = 5 mod 8
+
+    def test_rejects_rational_non_unit(self):
+        for z in (Fraction(7, 2), Fraction(2, 3), Fraction(0)):
+            with pytest.raises(ValueError):
+                epsilon(z)
+            with pytest.raises(ValueError):
+                omega(z)
 
 
 class TestFiltration:
+    """The level of a unit x is v(1 - x); lambda_i reads whether it is i."""
+
+    EXT = build_extension(2, -1)
+
+    def check_level(self, x, level):
+        assert frac_val_unit(2, 1 - x)[0] == level
+        assert lambda_base(self.EXT, level, x) == 1
+        assert lambda_base(self.EXT, level - 1, x) == 0
+        with pytest.raises(ValueError):
+            lambda_base(self.EXT, level + 1, x)
+
     def test_level_of_9_is_3(self):
-        assert PAdic.from_rational(2, 9).filtration_level() == 3
+        self.check_level(9, 3)
 
     def test_level_of_3_is_1(self):
-        assert PAdic.from_rational(2, 3).filtration_level() == 1
+        self.check_level(3, 1)
 
     def test_level_of_5_is_2(self):
         # one level below the square units U_3 = 1 + 8 Z_2
-        assert PAdic.from_rational(2, 5).filtration_level() == 2
+        self.check_level(5, 2)
 
-    def test_cap_is_reported_distinctly(self):
-        with pytest.raises(FiltrationCapReached):
-            PAdic.from_rational(2, 1).filtration_level()
+    def test_one_lies_in_every_level(self):
+        for i in (1, 3, 24, 64, 200):
+            assert lambda_base(self.EXT, i, 1) == 0
+
+    @pytest.mark.parametrize("i", [24, 30])
+    def test_deep_levels_are_exact(self, i):
+        # theta = 1 is a unit, however deep the level
+        assert lambda_base(self.EXT, i, 1 + 2 ** i) == 1
+        assert lambda_base(self.EXT, i, 1 + 2 ** (i + 1)) == 0
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            PAdic.from_rational(2, 6).filtration_level()
+            lambda_base(self.EXT, 1, 6)
 
 
 def test_squaring_bijection_on_filtration_quotients():
@@ -206,13 +217,6 @@ def test_squaring_bijection_on_filtration_quotients():
                 assert (sq - 1) % 2 ** (n + 1) == 0
                 images.add((sq - 1) // 2 ** (n + 1) % 2 ** k)
             assert len(images) == 2 ** k
-
-
-def test_serialization_roundtrip():
-    x = PAdic.from_rational(3, Fraction(7, 9))
-    d = x.to_dict()
-    y = PAdic(d["p"], d["valuation"], d["unit"], d["precision"])
-    assert x == y
 
 
 class TestIsPrime:
