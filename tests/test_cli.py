@@ -183,3 +183,20 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nosuch")
         assert code == 2
+
+
+class TestPrecision:
+    """Every value is exact, so CHATELET_PRECISION no longer means anything."""
+
+    def test_env_variable(self, capsys, monkeypatch):
+        argv = ("classify", "--json", "-p", "3", "--d", "2", "--e", "3")
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("CHATELET_PRECISION", "20")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
+
+    def test_bad_env_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHATELET_PRECISION", "zero")
+        code, _, err = run(capsys, "classify", "-p", "3", "--d", "2",
+                           "--e", "3")
+        assert code == 0 and err == ""

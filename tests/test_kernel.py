@@ -36,7 +36,8 @@ def brute_is_square(p, q):
 class TestKernelProperties:
     @settings(max_examples=200, deadline=None)
     @given(PRIMES, rationals())
-    def test_rep_is_certified(self, p, q):
+    def test_matches_padic_square_class(self, p, q):
+        # the rep is a canonical class rep and q / rep is a square in Q_p
         rep = rational_square_class_rep(p, q)
         assert rep in square_class_reps(p)
         assert brute_is_square(p, q / rep)

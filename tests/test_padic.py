@@ -1,5 +1,6 @@
 """Square classes, squareness, epsilon/omega, the unit filtration and primality."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -30,8 +31,21 @@ def brute_is_square_unit(p, u, k):
     return any(y * y % m == u % m for y in range(m))
 
 
+def test_integer_arithmetic_embeds():
+    # integers are exact: the class of 3 * 5 is the product of the classes
+    assert frac_val_unit(2, 3 * 5) == (0, 15)
+    assert SquareClass.of(2, 3) * SquareClass.of(2, 5) == SquareClass.of(2, 15)
+
+
 def test_valuation_and_unit_of_12():
     assert frac_val_unit(2, 12) == (2, 3)
+
+
+def test_division_identity():
+    fifth = Fraction(1, 5)
+    assert fifth * 5 == 1
+    assert frac_val_unit(5, fifth) == (-1, 1)
+    assert (SquareClass.of(5, fifth) * SquareClass.of(5, 5)).is_trivial
 
 
 def test_product_valuation_is_sum():
@@ -40,7 +54,26 @@ def test_product_valuation_is_sum():
         frac_val_unit(3, x)[0] + frac_val_unit(3, y)[0]
 
 
-def test_zero_rejected_by_class_ops():
+def test_full_cancellation_raises():
+    # 10 - 10 is exactly zero, which has no valuation or square class
+    x = Fraction(10)
+    with pytest.raises(ValueError):
+        frac_val_unit(7, x - 10)
+    with pytest.raises(ValueError):
+        SquareClass.of(7, x - 10)
+
+
+def test_division_by_zero():
+    ext = build_extension(5, 2)
+    with pytest.raises(ZeroDivisionError):
+        ext.element(3, 0) / ext.element(0, 0)
+
+
+def test_zero_is_tagged_and_rejected_by_class_ops():
+    z = build_extension(2, -1).element(0, 0)
+    assert z.is_zero
+    with pytest.raises(ZeroDivisionError):
+        z.valuation()
     for op in (frac_val_unit, rational_square_class_rep, rational_is_square,
                SquareClass.of):
         with pytest.raises(ValueError):
@@ -148,6 +181,11 @@ class TestEpsilonOmega:
         with pytest.raises(ValueError):
             epsilon(4)
 
+    def test_accepts_padic_unit(self):
+        # a unit of Z_2 given as an exact rational
+        assert epsilon(Fraction(-1)) == 1
+        assert epsilon(Fraction(-1, 9)) == 1
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_rational_units_read_mod8(self, sign):
         # n/d = n * d^-1 mod 8 for odd n and d
@@ -217,6 +255,12 @@ def test_squaring_bijection_on_filtration_quotients():
                 assert (sq - 1) % 2 ** (n + 1) == 0
                 images.add((sq - 1) // 2 ** (n + 1) % 2 ** k)
             assert len(images) == 2 ** k
+
+
+def test_serialization_roundtrip():
+    x = SquareClass.of(3, Fraction(7, 9))
+    d = dataclasses.asdict(x)
+    assert SquareClass(d["p"], d["rep"]) == x
 
 
 class TestIsPrime:
