@@ -164,6 +164,40 @@ def count_roots_cubic(p: int, a: Rational, b: Rational, c: Rational):
     Fractions approximating each root to the certified depth and the
     certificate records the exhaustion parameters.  Rejects repeated roots
     (disc = 0).
+
+    x = t / p^s makes the cubic monic with p-integral coefficients; g is that
+    cubic with its coefficients reduced mod p^depth, depth = 2 v(disc g) + 1.
+
+    Algorithm (Panayi's Newton-polygon descent, as in PARI's ZpX_roots).  A
+    node (r, j, k, h) stands for the disc r + p^j Z_p, where
+    h(y) = g(r + p^j y) / p^k has content 1; the root is (0, 0, 0, g).  For
+    each residue t of h mod p, in increasing order, with h(t) = 0 mod p:
+    if h'(t) is a unit the root is simple, and Newton's iteration lifts it to
+    y mod p^(depth - j), a root alpha = r + p^j y of g with
+    v(g'(alpha)) = k - j; otherwise the child (r + t p^j, j + 1, k + e,
+    h(t + p y) / p^e) is searched, e being the content of h(t + p y).  A
+    multiple root of h mod p means two roots of g closer than p^j, and two
+    roots of g are never closer than p^(v(disc)/2), so the descent stops by
+    level v(disc)/2 + 1.  A disc holds at most three roots, so at most one
+    node per level has a child, and the work is O(p * v(disc)) integer
+    operations on a cubic.  The walk is depth first with an explicit stack
+    and ascending t, so roots come out in lexicographic order of their p-adic
+    digits, lowest digit first.
+
+    Certificate.  ``residues_certified`` counts the residues r mod p^depth
+    with g(r) = 0 and 2 v(g'(r)) < depth, the residues Hensel's lemma turns
+    into roots.  It equals the sum over the roots alpha of p^w,
+    w = v(g'(alpha)).  Proof: w <= v(disc)/2, since disc = g'(alpha)^2 times
+    the square of the difference of the other two roots.  If r is certified,
+    Hensel's lemma gives a root alpha with v(g'(alpha)) = v(g'(r)) and
+    v(r - alpha) >= v(g(r)) - v(g'(r)) >= depth - w.  Conversely, if r = alpha mod p^(depth - w), then
+    g(r) = g'(alpha)(r - alpha) + O((r - alpha)^2) vanishes mod p^depth
+    because 2(depth - w) >= depth, and v(g'(r)) = w because depth - w > w.
+    So the certified residues of alpha are the p^w residues
+    r = alpha mod p^(depth - w).  The root reported for alpha is the smallest
+    of them, alpha mod p^(depth - w), divided by p^s.  Distinct roots differ
+    mod p^(floor(v(disc)/2) + 1), which divides p^(depth - w), so the count
+    is exact.
     """
     _check_prime(p)
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -188,41 +222,39 @@ def count_roots_cubic(p: int, a: Rational, b: Rational, c: Rational):
     m = p ** depth
     A_, B_, C_ = (_frac_mod(q, m) for q in (A, B, C))
 
-    def g(t, mod):
-        return (((t + A_) * t + B_) * t + C_) % mod
+    roots, certified = [], 0
+    # a stack entry is a node (r, j, k, (h0, h1, h2, h3)), or a lifted root
+    # (alpha mod p^depth, None, v(g'(alpha)), None) kept in walk order
+    stack = [(0, 0, 0, (C_, B_, A_, 1))]
+    while stack:
+        r, j, k, h = stack.pop()
+        if h is None:
+            roots.append(Fraction(r % p ** (depth - k), p ** s))
+            certified += p ** k
+            continue
+        h0, h1, h2, h3 = h
+        found = []
+        for t in range(p):
+            ht = ((h3 * t + h2) * t + h1) * t + h0
+            if ht % p:
+                continue
+            dht = (3 * h3 * t + 2 * h2) * t + h1
+            if dht % p:
+                mod = p ** (depth - j)
+                y = t
+                while (hy := ((h3 * y + h2) * y + h1) * y + h0) % mod:
+                    y = (y - hy * pow((3 * h3 * y + 2 * h2) * y + h1, -1, mod)) % mod
+                found.append((r + p ** j * y, None, k - j, None))
+            else:
+                # h(t + p y) by Taylor expansion at t, then its content removed
+                child = (ht, dht * p, (3 * h3 * t + h2) * p * p, h3 * p ** 3)
+                e = min(int_valuation(p, q) for q in child if q)
+                found.append((r + t * p ** j, j + 1, k + e,
+                              tuple(q // p ** e for q in child)))
+        stack.extend(reversed(found))
 
-    def dg(t, mod):
-        return (3 * t * t + 2 * A_ * t + B_) % mod
-
-    # breadth-first digit lifting of residue roots up to the certified depth
-    level = [t for t in range(p) if g(t, p) == 0]
-    for j in range(1, depth):
-        mod = p ** (j + 1)
-        nxt = []
-        for r in level:
-            for t in range(p):
-                cand = r + t * p ** j
-                if g(cand, mod) == 0:
-                    nxt.append(cand)
-        level = nxt
-
-    certified = []
-    for r in level:
-        gr = g(r, m)
-        dgr = dg(r, m)
-        v_dgr = depth if dgr == 0 else int_valuation(p, dgr)
-        if gr % m == 0 and 2 * v_dgr < depth:
-            certified.append(r)
-
-    # distinct roots differ at depth <= v(disc)/2 < the certified closeness,
-    # so grouping residues mod p^(floor(vd/2)+1) counts roots exactly
-    group_mod = p ** (vd // 2 + 1)
-    seen = {}
-    for r in certified:
-        seen.setdefault(r % group_mod, r)
-    roots = [Fraction(r, p ** s) for r in seen.values()]
     certificate = {"scaling": s, "hensel_depth": depth,
-                   "disc_valuation": vd, "residues_certified": len(certified)}
+                   "disc_valuation": vd, "residues_certified": certified}
     return len(roots), roots, certificate
 
 
@@ -233,7 +265,9 @@ def classify_cubic(p: int, d: Rational, a: Rational, b: Rational, c: Rational,
     Irreducible cubic (no root in Q_p) gives {0}.  A single root r with the
     residual shape x(x^2 - e) after translating r to the origin delegates to
     classify_pair; other single-root shapes and fully split cubics are out of
-    scope.
+    scope.  A root count that contradicts the parity of the discriminant
+    (one root with a square disc, three with a non-square) raises
+    InconsistencyError.
     """
     _check_prime(p)
     d = Fraction(d)
@@ -247,6 +281,12 @@ def classify_cubic(p: int, d: Rational, a: Rational, b: Rational, c: Rational,
         return LocalChowResult(Outcome.OUT_OF_SCOPE,
                                "singular: repeated roots (disc = 0)")
     count, roots, certificate = count_roots_cubic(p, a, b, c)
+    # Galois parity: one root leaves a transposition in the Galois group, so
+    # disc(f) is a non-square; three roots mean a trivial group and a square
+    if count in (1, 3) and rational_is_square(p, disc) != (count == 3):
+        raise InconsistencyError(
+            f"{count} roots of x^3 + {a} x^2 + {b} x + {c} in Q_{p} "
+            f"contradict the square class of disc = {disc}")
     if count == 0:
         return LocalChowResult(
             Outcome.ZERO, "irreducible monic cubic: the group vanishes",
