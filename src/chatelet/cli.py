@@ -2,7 +2,8 @@
 per-place reports over Q, and the verification suites.
 
 Exit codes: 0 for a definite group ({0} or Z/2Z) or a passing verify run,
-3 for out-of-scope inputs, 2 for malformed input, 1 for suite failures.
+3 for out-of-scope inputs, 2 for malformed input, 1 for suite failures and
+for a failed self-check (a classifier verdict its witness search contradicts).
 All computation is deterministic; identical inputs give identical bytes.
 """
 
@@ -17,7 +18,7 @@ from .chi import SearchGrid, chi, find_witness, in_M
 from .globalq import DISCLAIMER, GlobalSplitError, bad_places, classify_all_places
 from .hilbert import hilbert, hilbert_oracle, symbol_route
 from .padic import is_prime
-from .surface import Outcome, classify_cubic, classify_pair
+from .surface import InconsistencyError, Outcome, classify_cubic, classify_pair
 from .verify import ALL_SUITES, run_suites
 
 EXIT_OK = 0
@@ -43,6 +44,21 @@ def _prime(text: str) -> int:
     if not prime:
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
+
+
+def _int_at_least(text: str, low: int) -> int:
+    n = int(text)
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+    return n
+
+
+def _window(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _depth(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _grid(args) -> SearchGrid:
@@ -178,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, grid=False):
         sp.add_argument("--json", action="store_true", help="emit JSON")
         if grid:
-            sp.add_argument("--window", type=int, default=None,
+            sp.add_argument("--window", type=_window, default=None,
                             help="search-grid valuation window half-width")
-            sp.add_argument("--depth", type=int, default=None,
+            sp.add_argument("--depth", type=_depth, default=None,
                             help="search-grid unit-residue digit depth")
 
     sp = sub.add_parser("classify", help="classify a surface over Q_p")
@@ -236,6 +252,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SUITE_FAILURE
 
 
 if __name__ == "__main__":

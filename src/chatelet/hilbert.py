@@ -14,16 +14,23 @@ v(b)); a root of the form mod p^{2*delta+1} therefore lifts to an exact p-adic
 zero by Hensel's criterion, and every exact primitive zero reduces to such a
 root.
 
-Multiplying a primitive root by the inverse of one of its unit coordinates
-gives a primitive root with that coordinate equal to 1, so a root exists iff
-one of
+Lemma: with a, b class representatives, so v(a), v(b) in {0, 1}, every
+primitive root mod m has at least two unit coordinates.  Suppose only one
+is a unit.  The other two are divisible by p, so their terms vanish mod p^2.
+The unit coordinate's term (z^2, a x^2 or b y^2) has valuation 0 or 1.  At
+valuation 0 the form is a unit, a contradiction mod p.  At valuation 1,
+delta >= 1, so k >= 3, and the form has valuation exactly 1, a
+contradiction mod p^2.  Hence z or y is a unit: if z is not, x and y both
+are.
 
-    a x^2 + b y^2 = 1   (z = 1),   z^2 - a x^2 = b   (y = 1),
-    z^2 - b y^2 = a     (x = 1)
+Multiplying a primitive root by the inverse of its unit z or y gives a root
+with that coordinate equal to 1, so a root exists iff one of
+
+    a x^2 + b y^2 = 1   (z = 1),   z^2 - a x^2 = b   (y = 1)
 
 is solvable mod m.  Each is one length-m vector of squares looked up in a
-boolean table of the residues a x^2 (or b y^2) mod m: O(m) time and memory.
-The search is exhaustive, so -1 is always certified; there is no inconclusive
+boolean table of the residues a x^2 mod m: O(m) time and memory.  The
+search is exhaustive, so -1 is always certified; there is no inconclusive
 outcome.  Moduli above MAX_ORACLE_MODULUS are refused before anything is
 allocated.
 """
@@ -81,11 +88,12 @@ def hilbert_oracle(p: int, a, b) -> int:
     """Ground-truth conic oracle: certified exhaustive residue search.
 
     Returns +1 iff z^2 - a x^2 - b y^2 has a nontrivial p-adic zero, which is
-    the solvability criterion for a x^2 + b y^2 = 1.  The search sets one
-    unit coordinate to 1 and scans the other two through a table of squares
-    mod m = p^k; see the module docstring for why that is exhaustive and for
-    the Hensel certificate that makes the finite search exact.  Raises
-    ValueError when m exceeds MAX_ORACLE_MODULUS.
+    the solvability criterion for a x^2 + b y^2 = 1.  The search sets z = 1,
+    then y = 1, and scans the other two coordinates through a table of
+    squares mod m = p^k.  Every primitive root has two unit coordinates, one
+    of them z or y, so the two scans are exhaustive; see the module docstring
+    for that lemma and for the Hensel certificate that makes the finite
+    search exact.  Raises ValueError when m exceeds MAX_ORACLE_MODULUS.
     """
     ra = class_rep_of(p, a)
     rb = class_rep_of(p, b)
@@ -105,11 +113,7 @@ def hilbert_oracle(p: int, a, b) -> int:
     ax2[am * sq % m] = True
     if ax2[(1 - bm * sq) % m].any():  # z = 1
         return 1
-    if ax2[(sq - bm) % m].any():  # y = 1
-        return 1
-    by2 = np.zeros(m, dtype=bool)
-    by2[bm * sq % m] = True
-    return 1 if by2[(sq - am) % m].any() else -1  # x = 1
+    return 1 if ax2[(sq - bm) % m].any() else -1  # y = 1
 
 
 def symbol_route(p: int) -> str:

@@ -173,22 +173,15 @@ def _norm_class_subgroup(p: int, d_rep: int, limit: int = 8) -> frozenset:
 def _choose_uniformiser(ext: QuadExt) -> QuadExtElem:
     """Deterministic uniformiser of a ramified L.
 
-    v(d) = 1: pi_L = sqrt(d).  v(d) = 0: pi_L = 1 + sqrt(d) when its norm has
-    valuation 1, else a small deterministic search over a + b*sqrt(d).
+    v(d) = 1: pi_L = sqrt(d).  For odd p these are the only ramified classes.
+    v(d) = 0 happens only at p = 2, for d = -1 and d = -5: pi_L = 1 + sqrt(d),
+    whose norm 1 - d is 2 or 6, of valuation 1.
     """
-    p, rep = ext.p, ext.d.rep
-    v_d = frac_val_unit(p, rep)[0]
-    if v_d == 1:
-        return ext.element(0, 1)
-    cand = ext.element(1, 1)
-    if cand.valuation() == 1:
-        return cand
-    for a in range(1, 10):
-        for b in range(1, 10):
-            cand = ext.element(a, b)
-            if not cand.is_zero and cand.valuation() == 1:
-                return cand
-    raise NormSubgroupError("no uniformiser found; arithmetic bug")
+    v_d = frac_val_unit(ext.p, ext.d.rep)[0]
+    pi_L = ext.element(0, 1) if v_d == 1 else ext.element(1, 1)
+    if pi_L.valuation() != 1:
+        raise NormSubgroupError(f"{pi_L} is not a uniformiser; arithmetic bug")
+    return pi_L
 
 
 def s_invariant(ext: QuadExt) -> int:

@@ -149,6 +149,35 @@ class TestWitness:
         assert err.startswith("error:") and "cap" in err and out == ""
         assert time.monotonic() - start < 2.0
 
+    @pytest.mark.parametrize("argv", [
+        ("witness", "-p", "3", "--d", "3", "--e", "2", "--depth", "-1"),
+        ("witness", "-p", "3", "--d", "3", "--e", "2", "--depth", "0"),
+        ("witness", "-p", "3", "--d", "3", "--e", "2", "--window", "-1"),
+        ("classify", "-p", "3", "--d", "3", "--e", "2", "--with-witness",
+         "--depth", "0"),
+    ])
+    def test_empty_grid_arguments_exit_two(self, capsys, argv):
+        # depth 0 leaves no unit residues and a negative window no
+        # valuations: the grid is {0} alone, which holds no witness even on
+        # these Z/2Z surfaces
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "must be at least" in err and out == ""
+        assert time.monotonic() - start < 2.0
+
+    def test_self_check_failure_exit_one(self, capsys):
+        # a Z/2Z surface whose grid is {0, 1}, which holds no witness: the
+        # classifier's verdict fails its own witness check
+        start = time.monotonic()
+        code, out, err = run(capsys, "classify", "-p", "2", "--d", "-1",
+                             "--e", "-10", "--with-witness",
+                             "--window", "0", "--depth", "1")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and out == ""
+        assert "Traceback" not in err
+        assert time.monotonic() - start < 2.0
+
     def test_unsearched_grid_is_not_refused(self, capsys):
         code, out, _ = run(capsys, "classify", "-p", "2", "--d", "5", "--e", "2",
                            "--depth", "40")

@@ -78,9 +78,13 @@ class TestAllPlaces:
         assert two.result.witness is not None
 
     def test_square_e_at_odd_bad_place(self):
-        # e = 25: at p = 5 the fibre splits with unit roots; still 0
-        report = classify_place(3, 7, Fraction(25, 1))
+        # d = 18 = 2 * 3^2 is a nonsquare of even valuation and e = 4 a
+        # square unit at p = 3: the fibre splits with unit roots, and the
+        # split-fibre branch answers 0
+        report = classify_place(3, 18, Fraction(4, 1))
         assert report.result.outcome is Outcome.ZERO
+        assert report.result.reason == \
+            "e a square unit at an odd place: split fibre with unit roots"
 
     def test_report_serialization(self):
         reports = classify_all_places(5, 2)

@@ -152,8 +152,8 @@ class TestOracleScan:
 
     @pytest.mark.parametrize("p", [31, 101])
     def test_full_scan_within_budget(self, p):
-        # a nonsquare unit against p: the symbol is -1, so all three
-        # coordinate cases run over m = p^3
+        # a nonsquare unit against p: the symbol is -1, so both the z = 1
+        # and the y = 1 scans run over m = p^3
         u = smallest_nonresidue(p)
         start = time.monotonic()
         assert hilbert_oracle(p, u, p) == hilbert(p, u, p) == -1
@@ -179,6 +179,27 @@ class TestOracleScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 16
+
+
+class TestOracleLemma:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_no_primitive_root_has_one_unit_coordinate(self, p):
+        # the lemma behind the two scans, brute-forced over every triple mod
+        # m: a root whose only unit coordinate is x would escape both the
+        # z = 1 and the y = 1 scans
+        reps = square_class_reps(p)[1:]
+        for a in reps:
+            for b in reps:
+                delta = (p == 2) + max(frac_val_unit(p, a)[0],
+                                       frac_val_unit(p, b)[0])
+                m = p ** (2 * delta + 1)
+                t = np.arange(m, dtype=np.int64)
+                x, y, z = t[:, None, None], t[None, :, None], t[None, None, :]
+                root = (z * z - a * x * x - b * y * y) % m == 0
+                units = (x % p != 0).astype(np.int8) + (y % p != 0) + (z % p != 0)
+                assert not (root & (units == 1)).any(), (p, a, b)
+                assert (root & (units >= 2)).any() == (hilbert(p, a, b) == 1), \
+                    (p, a, b)
 
 
 class TestNormLink:

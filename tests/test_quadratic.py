@@ -7,6 +7,7 @@ import pytest
 from chatelet.padic import (
     SquareClass,
     frac_val_unit,
+    is_prime,
     rational_square_class_rep,
     square_class_reps,
 )
@@ -170,10 +171,19 @@ class TestRamifiedBreakS:
                 assert ext.is_norm(gamma), (d_rep, gamma)
 
     def test_uniformiser_norm_has_valuation_one(self):
-        for d_rep in self.TABLE:
-            ext = build_extension(2, d_rep)
-            assert ext.pi_K == ext.pi_L.norm()
-            assert frac_val_unit(2, ext.pi_K)[0] == 1
+        # every ramified class of every prime below 100: pi_L = sqrt(d) when
+        # v(d) = 1, and pi_L = 1 + sqrt(d) for the ramified 2-adic units
+        for p in filter(is_prime, range(2, 100)):
+            exts = [build_extension(p, d) for d in square_class_reps(p)[1:]]
+            ramified = [ext for ext in exts if ext.ramified]
+            if p == 2:
+                assert {ext.d.rep for ext in ramified} == set(self.TABLE)
+            for ext in ramified:
+                unit = frac_val_unit(p, ext.d.rep)[0] == 0
+                assert (ext.pi_L.a, ext.pi_L.b) == ((1, 1) if unit else (0, 1)), \
+                    (p, ext.d.rep)
+                assert ext.pi_K == ext.pi_L.norm()
+                assert frac_val_unit(p, ext.pi_K)[0] == 1
 
 
 class TestLambdaMaps:
