@@ -100,14 +100,21 @@ def _extensions(p: int, d: Rational, e: Rational) -> tuple[QuadExt, bool]:
 
 
 def _class_pair(p: int, x: Fraction, e: Fraction) -> Optional[tuple[int, int]]:
-    """Class representatives of x and of x^2 - e for x != 0; None when x^2 = e,
-    which cannot happen for nonsquare e.
+    """The classes of the two chi arguments at x, as canonical representatives:
+    x and x^2 - e for x != 0, and -e twice for x = 0, since chi(0) is read on
+    (-e, -sqrt(e)) and N(-sqrt(e)) = -e.  None when x^2 = e, which cannot
+    happen for nonsquare e.
 
-    With x = n/m and e = a/b, x^2 - e = (n^2 b - a m^2) / (m^2 b), which lies
-    in the class of (n^2 b - a m^2) b since m^2 b^2 is a square.
+    The product of the two classes is that of x(x^2 - e) for x != 0 and a
+    square for x = 0, so x lies in M iff the product is a norm.  With x = n/m
+    and e = a/b, x^2 - e = (n^2 b - a m^2) / (m^2 b), which lies in the class
+    of (n^2 b - a m^2) b since m^2 b^2 is a square.
     """
     n, m = x.numerator, x.denominator
     a, b = e.numerator, e.denominator
+    if n == 0:
+        rep = rational_square_class_rep(p, -a * b)
+        return rep, rep
     t = (n * n * b - a * m * m) * b
     if t == 0:
         return None
@@ -116,8 +123,6 @@ def _class_pair(p: int, x: Fraction, e: Fraction) -> Optional[tuple[int, int]]:
 
 def _in_M(L: QuadExt, x: Fraction, e: Fraction) -> bool:
     """in_M with L already built."""
-    if x == 0:
-        return True
     reps = _class_pair(L.p, x, e)
     return reps is not None and L.is_norm(reps[0] * reps[1])
 
@@ -128,10 +133,7 @@ def _fraction(q: Rational) -> Fraction:
 
 def in_M(p: int, x: Rational, d: Rational, e: Rational) -> bool:
     """Membership in M: x = 0, or x(x^2 - e) a norm from L."""
-    x, e = _fraction(x), _fraction(e)
-    if x == 0:
-        return True
-    return _in_M(build_extension(p, d), x, e)
+    return _in_M(build_extension(p, d), _fraction(x), _fraction(e))
 
 
 def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
@@ -145,10 +147,7 @@ def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
     L, iso = _extensions(p, d, e)
     if not in_M(p, x, d, e):
         raise ValueError(f"x = {x} is not in M; chi is undefined there")
-    if x == 0:
-        first_arg = second_arg = -e
-    else:
-        first_arg, second_arg = _class_pair(p, x, e)
+    first_arg, second_arg = _class_pair(p, x, e)
     first = 0 if L.is_norm(first_arg) else 1
     if iso:
         second = 0  # E*/N(LE*) is trivial when L = E
@@ -186,14 +185,10 @@ def find_witness(p: int, d: Rational, e: Rational,
         return None  # chi is diagonal-trivial when L = E
     e = _fraction(e)
     for x in g.candidates(p):
-        if x == 0:
-            if not L.is_norm(-e):
-                return x
-            continue
         reps = _class_pair(p, x, e)
-        if reps is None or not L.is_norm(reps[0] * reps[1]):
-            continue
-        if not L.is_norm(reps[0]) and not L.is_norm(reps[1]):
+        # N(L*) has index 2, so two non-norm classes multiply to a norm
+        # and x lies in M
+        if reps is not None and not L.is_norm(reps[0]) and not L.is_norm(reps[1]):
             return x
     return None
 

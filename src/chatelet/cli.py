@@ -131,6 +131,14 @@ def cmd_witness(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_SCOPE
     if w is None:
+        verdict = classify_pair(args.p, args.d, args.e)
+        if verdict.outcome is Outcome.Z2:
+            # a Z/2Z surface has a witness, so the grid is too small; a bare
+            # "no witness" would read like a {0} verdict
+            print(f"error: the search grid holds no witness, but the surface is "
+                  f"Z/2Z ({verdict.reason}); the grid is too small for it",
+                  file=sys.stderr)
+            return EXIT_SUITE_FAILURE
         payload = {"p": args.p, "d": str(args.d), "e": str(args.e),
                    "witness": None}
         _emit(args, payload, "no witness in the search grid")

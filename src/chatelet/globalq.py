@@ -1,11 +1,12 @@
 """Local Chow groups at all places of Q for rational d, e.
 
-Produces the family {A0(X_v)0} over v: the finite bad places are classified
-by the local machinery, all other places are {0} (at a good odd prime both
-extensions are unramified, so either d is a square, or e is a square with
-unit roots, or the extensions are isomorphic).  The global group itself is
-not assembled: that requires the Tate-Shafarevich / character-group exact
-sequence, which is out of scope here; see DISCLAIMER.
+Produces the family {A0(X_v)0} over v: 2, every odd prime dividing d or e,
+and the real place are classified by the local machinery; all other places
+are {0} and are not reported (at such a prime both extensions are unramified,
+so either d is a square, or e is a square with unit roots, or the extensions
+are isomorphic).  The global group itself is not assembled: that requires the
+Tate-Shafarevich / character-group exact sequence, which is out of scope
+here; see DISCLAIMER.
 """
 
 from __future__ import annotations
@@ -65,20 +66,6 @@ def rational_square(q: Fraction) -> bool:
     return isqrt(n) ** 2 == n and isqrt(m) ** 2 == m
 
 
-def classify_good_place(p: int, d: Rational, e: Rational) -> LocalChowResult:
-    """The trichotomy at a place where p is odd and v_p(d) = v_p(e) = 0."""
-    if rational_is_square(p, d):
-        return LocalChowResult(Outcome.ZERO,
-                               "d is a square: surface is birational to the plane")
-    if rational_is_square(p, e):
-        return LocalChowResult(
-            Outcome.ZERO,
-            "e a square unit at an odd place: split fibre with unit roots")
-    return LocalChowResult(
-        Outcome.ZERO,
-        "both extensions unramified and nonsplit, hence isomorphic")
-
-
 def classify_real_place(d: Rational, e: Rational) -> LocalChowResult:
     """Real place: for e < 0, x^2 - e stays irreducible and the group is {0}
     (L/R is either trivial or agrees with E); e > 0 is out of scope."""
@@ -97,8 +84,6 @@ def classify_place(place: Union[int, str], d: Rational, e: Rational,
         return PlaceReport("real", classify_real_place(d, e))
     p = int(place)
     d, e = Fraction(d), Fraction(e)
-    if p != 2 and not rational_support_at(p, d) and not rational_support_at(p, e):
-        return PlaceReport(p, classify_good_place(p, d, e))
     if (p != 2 and not rational_support_at(p, e) and rational_is_square(p, e)
             and not rational_is_square(p, d)):
         # bad through d only, while e is a square unit: split fibre, unit roots

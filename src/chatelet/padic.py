@@ -60,11 +60,7 @@ def int_valuation(p: int, n: int) -> int:
     """v_p(n) for a nonzero integer n."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return _strip(p, n)[0]
 
 
 def frac_val_unit(p: int, q: Rational) -> tuple[int, Fraction]:

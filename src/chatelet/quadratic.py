@@ -1,11 +1,14 @@
 """Quadratic extensions L = Q_p(sqrt(d)): ramification, norms, unit filtration.
 
-The norm-image subgroup of Q_p^*/(Q_p^*)^2 is computed at construction from an
-integer grid of norms a^2 - d*b^2 and closed under multiplication; by local
-class field theory it must have index exactly 2, and anything else is treated
-as an arithmetic bug, never silently corrected.  It is held as the set of its
-canonical integer representatives, so a norm test is one class reduction and
-one set lookup.
+The norm-image subgroup of Q_p^*/(Q_p^*)^2 is read off at construction from
+the classes of the norms a^2 - d*b^2 on a small integer grid; by local class
+field theory it must have index exactly 2, and anything else is treated as an
+arithmetic bug, never silently corrected (``_norm_class_subgroup`` proves the
+grid always suffices).  It is held as the set of its canonical integer
+representatives, so a norm test is one class reduction and one set lookup.
+Membership is also decided by the Hilbert symbol (``chatelet.hilbert``),
+which at odd p is the valuation criterion: for unramified L, x is a norm iff
+v(x) is even; for ramified L, iff x/pi_K^v(x) is a square.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .padic import (
     SquareClass,
     class_rep_of,
     frac_val_unit,
-    rational_is_square,
     rational_square_class_rep,
     square_class_reps,
 )
@@ -144,29 +146,33 @@ class QuadExt:
         return f"Q_{self.p}(sqrt({self.d.rep})) [{kind}]"
 
 
-def _norm_class_subgroup(p: int, d_rep: int, limit: int = 8) -> frozenset:
-    """Canonical representatives of the classes of N(L^*)."""
-    reps = square_class_reps(p)
+def _norm_class_subgroup(p: int, d_rep: int) -> frozenset:
+    """Canonical representatives of the classes of N(L^*).
+
+    Every a^2 - d b^2 is a norm, so the classes found on the grid |a|, |b| <= 8
+    lie in N(L^*), which has index 2; they are all of it exactly when they
+    have index 2.  The grid always gets there, with 1 = N(1), -d = N(sqrt(d))
+    and 1 - d = N(1 + sqrt(d)):
+
+    * odd p, L ramified: -d has odd valuation, so its class is not 1;
+    * odd p, L unramified: d = u is the least non-residue.  For p = 1 mod 4,
+      -u is a non-residue.  For p = 3 mod 4, 1 - u = -(u - 1) is one,
+      because every positive integer below u is a residue and -1 is not;
+    * p = 2: the count check below passes for each of the seven fields.
+
+    A different count is an arithmetic bug and raises NormSubgroupError.
+    """
     found = {1}
-    for a in range(-limit, limit + 1):
-        for b in range(-limit, limit + 1):
+    for a in range(-8, 9):
+        for b in range(-8, 9):
             n = a * a - d_rep * b * b
-            if n == 0 or (a == 0 and b == 0):
-                continue
-            found.add(rational_square_class_rep(p, n))
-    # close under multiplication
-    while True:
-        extra = {rational_square_class_rep(p, x * y)
-                 for x in found for y in found} - found
-        if not extra:
-            break
-        found |= extra
-    if len(found) != len(reps) // 2:
-        if limit < 20:
-            return _norm_class_subgroup(p, d_rep, limit=20)
+            if n:
+                found.add(rational_square_class_rep(p, n))
+    expected = len(square_class_reps(p)) // 2
+    if len(found) != expected:
         raise NormSubgroupError(
             f"norm image of Q_{p}(sqrt({d_rep})) has {len(found)} classes, "
-            f"expected {len(reps) // 2}")
+            f"expected {expected}")
     return frozenset(found)
 
 
@@ -223,36 +229,6 @@ def build_extension(p: int, d) -> QuadExt:
     if rep == 1:
         raise ValueError("d is a square: K(sqrt(d)) is split, not a field")
     return _build(p, rep)
-
-
-# -- independent norm-membership criteria (odd residue characteristic) -------
-
-def norm_criterion_unramified(p: int, x) -> bool:
-    """Unramified F/K: x is a norm iff v_K(x) is even."""
-    return frac_val_unit(p, x)[0] % 2 == 0
-
-
-def norm_criterion_ramified(p: int, x, pi_K) -> bool:
-    """Ramified F/K with pi_K = N(pi_F): x is a norm iff x/pi_K^v(x) is a square."""
-    v = frac_val_unit(p, x)[0]
-    return rational_is_square(p, Fraction(x) / Fraction(pi_K) ** v)
-
-
-def is_norm_valuation_criteria(p: int, x, ext: QuadExt) -> bool:
-    """Valuation/squareness norm test (independent of the subgroup route).
-
-    Unramified: norm iff even valuation, for every p.  Ramified with p odd:
-    norm iff x/pi_K^v(x) is a square.  Ramified with p = 2 the squareness
-    criterion fails (5 is a norm from Q_2(i) but not a square), so fall
-    back to the closed 2-adic symbol formula, which is likewise
-    independent of the norm-class subgroup.
-    """
-    if not ext.ramified:
-        return norm_criterion_unramified(p, x)
-    if p == 2:
-        from .hilbert import hilbert_2
-        return hilbert_2(x, ext.d.rep) == 1
-    return norm_criterion_ramified(p, x, ext.pi_K)
 
 
 # -- the lambda maps on the unit filtration ----------------------------------

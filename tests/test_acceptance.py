@@ -14,14 +14,10 @@ from fractions import Fraction
 import pytest
 
 from chatelet.chi import SearchGrid, chi, find_witness, sample_M
-from chatelet.globalq import bad_places, classify_all_places, classify_good_place
+from chatelet.globalq import bad_places, classify_all_places, classify_place
 from chatelet.hilbert import hilbert, hilbert_oracle
 from chatelet.padic import rational_is_square, square_class_reps
-from chatelet.quadratic import (
-    build_extension,
-    is_norm_valuation_criteria,
-    s_invariant,
-)
+from chatelet.quadratic import build_extension, s_invariant
 from chatelet.surface import Outcome, classify_cubic, classify_pair
 from chatelet.chi import verify_ramified_disjunction
 
@@ -67,9 +63,9 @@ def test_criterion_02_norm_triple_agreement():
                 ext = build_extension(p, d)
                 for x in square_class_reps(p):
                     via_symbol = hilbert(p, x, d) == 1
-                    via_criteria = is_norm_valuation_criteria(p, x, ext)
+                    via_oracle = hilbert_oracle(p, x, d) == 1
                     via_subgroup = ext.is_norm(x)
-                    assert via_symbol == via_criteria == via_subgroup
+                    assert via_symbol == via_oracle == via_subgroup
 
 
 def test_criterion_03_s_invariant_table():
@@ -190,7 +186,7 @@ def test_criterion_10_global_smoke():
         assert reports["real"] is Outcome.ZERO
         assert reports[2] is Outcome.Z2
         for p in (3, 5, 7, 11, 13, 29, 97, 101):
-            assert classify_good_place(p, -1, -2).outcome is Outcome.ZERO
+            assert classify_place(p, -1, -2).result.outcome is Outcome.ZERO
 
 
 def test_criterion_11_scaling_invariance_fuzz():

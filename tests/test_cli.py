@@ -167,16 +167,22 @@ class TestWitness:
         assert time.monotonic() - start < 2.0
 
     def test_self_check_failure_exit_one(self, capsys):
-        # a Z/2Z surface whose grid is {0, 1}, which holds no witness: the
-        # classifier's verdict fails its own witness check
-        start = time.monotonic()
-        code, out, err = run(capsys, "classify", "-p", "2", "--d", "-1",
-                             "--e", "-10", "--with-witness",
-                             "--window", "0", "--depth", "1")
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1 and out == ""
-        assert "Traceback" not in err
-        assert time.monotonic() - start < 2.0
+        # Z/2Z surfaces whose grid holds no witness: {0, 1} for e = -10, and
+        # the default grid for e = 3 * 2^21, whose witness lies beyond the
+        # valuation window.  classify --with-witness fails its own witness
+        # check, and witness must not print a "no witness" that reads like {0}
+        for argv in (
+                ("classify", "-p", "2", "--d", "-1", "--e", "-10",
+                 "--with-witness", "--window", "0", "--depth", "1"),
+                ("witness", "-p", "2", "--d", "-1", "--e", "-10",
+                 "--window", "0", "--depth", "1"),
+                ("witness", "-p", "2", "--d", "-1", "--e", "6291456")):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error:") and err.count("\n") == 1 and out == ""
+            assert "Traceback" not in err
+            assert time.monotonic() - start < 2.0
 
     def test_unsearched_grid_is_not_refused(self, capsys):
         code, out, _ = run(capsys, "classify", "-p", "2", "--d", "5", "--e", "2",

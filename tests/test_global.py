@@ -8,11 +8,11 @@ from chatelet.globalq import (
     GlobalSplitError,
     bad_places,
     classify_all_places,
-    classify_good_place,
     classify_place,
     classify_real_place,
     rational_square,
 )
+from chatelet.padic import frac_val_unit, square_class_reps
 from chatelet.surface import Outcome
 
 
@@ -42,10 +42,14 @@ def test_rational_square():
 
 
 class TestGoodPlaces:
-    @pytest.mark.parametrize("p", [3, 7, 11, 13, 17, 101])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 101])
     def test_always_zero(self, p):
-        r = classify_good_place(p, -1, -2)
-        assert r.outcome is Outcome.ZERO
+        # every pair of unit classes reaches one of the three good-place
+        # cases: d a square, e a square (split fibre), or L = E
+        units = [r for r in square_class_reps(p) if frac_val_unit(p, r)[0] == 0]
+        for d, e in [(-1, -2)] + [(d, e) for d in units for e in units]:
+            r = classify_place(p, d, e).result
+            assert r.outcome is Outcome.ZERO, (p, d, e, r.reason)
 
     def test_agrees_with_local_classifier_or_split(self):
         # at good places the local machinery, when applicable, returns 0 too

@@ -1,9 +1,11 @@
 """Quadratic extensions of Q_p: ramification, norms, uniformisers, lambda maps."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from chatelet.hilbert import hilbert
 from chatelet.padic import (
     SquareClass,
     frac_val_unit,
@@ -11,14 +13,7 @@ from chatelet.padic import (
     rational_square_class_rep,
     square_class_reps,
 )
-from chatelet.quadratic import (
-    build_extension,
-    is_norm_valuation_criteria,
-    lambda_base,
-    lambda_ext,
-    norm_criterion_ramified,
-    norm_criterion_unramified,
-)
+from chatelet.quadratic import build_extension, lambda_base, lambda_ext
 
 
 def brute_is_norm(ext, x, box=9):
@@ -118,12 +113,29 @@ class TestNorms:
             ext = build_extension(p, rep)
             for x_rep in square_class_reps(p):
                 a = ext.is_norm(x_rep)
-                b = is_norm_valuation_criteria(p, x_rep, ext)
+                b = hilbert(p, x_rep, rep) == 1
                 c = brute_is_norm(ext, x_rep)
                 assert a == b == c, (p, rep, x_rep)
 
+    def test_norm_subgroup_lemma(self):
+        # the three norms 1 = N(1), -d = N(sqrt(d)) and 1 - d = N(1 + sqrt(d))
+        # already span N(L^*) at every odd p, which is why the norm grid needs
+        # no closure under multiplication (quadratic._norm_class_subgroup)
+        start = time.monotonic()
+        cases = 0
+        for p in filter(is_prime, range(3, 5000)):
+            for d in square_class_reps(p)[1:]:
+                lemma = {1, rational_square_class_rep(p, -d),
+                         rational_square_class_rep(p, 1 - d)}
+                assert lemma == build_extension(p, d).norm_reps, (p, d)
+                cases += 1
+        assert cases == 2004
+        assert time.monotonic() - start < 2.0
+
 
 class TestValuationCriteria:
+    """The valuation criteria are the Hilbert-symbol route (hilbert_odd)."""
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_unramified_norm_iff_even_valuation(self, p):
         for rep in square_class_reps(p):
@@ -135,7 +147,8 @@ class TestValuationCriteria:
             for x_rep in square_class_reps(p):
                 for k in range(4):
                     x = Fraction(x_rep) * p ** k
-                    expect = norm_criterion_unramified(p, x)
+                    expect = hilbert(p, x, rep) == 1
+                    assert expect == (frac_val_unit(p, x)[0] % 2 == 0)
                     assert ext.is_norm(x) == expect
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -146,7 +159,7 @@ class TestValuationCriteria:
             ext = build_extension(p, rep)
             assert ext.ramified
             for x_rep in square_class_reps(p):
-                expect = norm_criterion_ramified(p, x_rep, ext.pi_K)
+                expect = hilbert(p, x_rep, rep) == 1
                 assert ext.is_norm(x_rep) == expect
 
 
