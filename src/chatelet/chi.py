@@ -164,10 +164,8 @@ def sample_M(p: int, d: Rational, e: Rational,
     """
     g = grid or SearchGrid()
     g.check_size(p)
+    L = _extensions(p, d, e)[0]
     e = _fraction(e)
-    if rational_square_class_rep(p, e) == 1:
-        raise ValueError("e is a square: split case")
-    L = build_extension(p, d)
     return [x for x in g.candidates(p) if _in_M(L, x, e)]
 
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .chi import SearchGrid, chi, find_witness, in_M
-from .globalq import DISCLAIMER, GlobalSplitError, bad_places, classify_all_places
+from .globalq import DISCLAIMER, GlobalSplitError, classify_all_places
 from .hilbert import hilbert, hilbert_oracle, symbol_route
 from .padic import is_prime
 from .surface import InconsistencyError, Outcome, classify_cubic, classify_pair
@@ -112,11 +112,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    value = hilbert(args.p, args.a, args.b)
-    route = symbol_route(args.p)
     if args.oracle:
-        value = hilbert_oracle(args.p, args.a, args.b)
-        route = "conic brute-force oracle"
+        value, route = hilbert_oracle(args.p, args.a, args.b), "conic brute-force oracle"
+    else:
+        value, route = hilbert(args.p, args.a, args.b), symbol_route(args.p)
     payload = {"p": args.p, "a": str(args.a), "b": str(args.b),
                "symbol": value, "route": route}
     _emit(args, payload, f"{value:+d}  [{route}]")
@@ -125,13 +124,14 @@ def cmd_hilbert(args) -> int:
 
 def cmd_witness(args) -> int:
     grid = _grid(args)
+    # outside the handler, so zero d or e reaches main and exits 2
+    verdict = classify_pair(args.p, args.d, args.e)
     try:
         w = find_witness(args.p, args.d, args.e, grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_SCOPE
     if w is None:
-        verdict = classify_pair(args.p, args.d, args.e)
         if verdict.outcome is Outcome.Z2:
             # a Z/2Z surface has a witness, so the grid is too small; a bare
             # "no witness" would read like a {0} verdict
@@ -158,12 +158,12 @@ def cmd_witness(args) -> int:
 
 def cmd_global(args) -> int:
     try:
-        places = bad_places(args.d, args.e)
         reports = classify_all_places(args.d, args.e,
                                       with_witness=args.with_witness)
     except GlobalSplitError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_SCOPE
+    places = [r.place for r in reports[:-1]]  # the last report is the real place
     payload = {"d": str(args.d), "e": str(args.e), "bad_places": places,
                "disclaimer": DISCLAIMER,
                "reports": [r.to_dict() for r in reports]}
@@ -175,13 +175,7 @@ def cmd_global(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite or list(ALL_SUITES)
-    unknown = [n for n in names if n not in ALL_SUITES]
-    if unknown:
-        print(f"error: unknown suites {unknown}; have {list(ALL_SUITES)}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    results = run_suites(names)
+    results = run_suites(args.suite)
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
     else:

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import class_rep_of, epsilon, frac_val_unit, omega, rational_is_square
+from .padic import epsilon, frac_val_unit, omega, rational_is_square, rational_square_class_rep
 
 # Largest modulus p^k the conic oracle will scan: its work and memory are
 # O(p^k), and the cap keeps every residue product inside int64.
@@ -50,7 +50,7 @@ MAX_ORACLE_MODULUS = 2 ** 22
 
 def hilbert_2(a, b) -> int:
     """(a,b)_2 by the closed formula on a = 2^alpha u, b = 2^beta v."""
-    ra, rb = class_rep_of(2, a), class_rep_of(2, b)
+    ra, rb = rational_square_class_rep(2, a), rational_square_class_rep(2, b)
     alpha, u = frac_val_unit(2, ra)
     beta, v = frac_val_unit(2, rb)
     ui, vi = int(u), int(v)
@@ -67,7 +67,7 @@ def hilbert_odd(p: int, a, b) -> int:
     """
     if p == 2:
         raise ValueError("use hilbert_2 for p = 2")
-    ra, rb = class_rep_of(p, a), class_rep_of(p, b)
+    ra, rb = rational_square_class_rep(p, a), rational_square_class_rep(p, b)
     if rb == 1:
         return 1
     v_b = frac_val_unit(p, rb)[0]
@@ -95,8 +95,8 @@ def hilbert_oracle(p: int, a, b) -> int:
     for that lemma and for the Hensel certificate that makes the finite
     search exact.  Raises ValueError when m exceeds MAX_ORACLE_MODULUS.
     """
-    ra = class_rep_of(p, a)
-    rb = class_rep_of(p, b)
+    ra = rational_square_class_rep(p, a)
+    rb = rational_square_class_rep(p, b)
     if ra == 1 or rb == 1:
         return 1
     v2 = 1 if p == 2 else 0

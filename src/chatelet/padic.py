@@ -141,13 +141,6 @@ def rational_square_class_rep(p: int, q: Rational) -> int:
     return p * unit_rep if v % 2 else unit_rep
 
 
-def class_rep_of(p: int, x) -> int:
-    """Canonical representative of a nonzero rational or SquareClass."""
-    if isinstance(x, SquareClass):
-        return SquareClass.of(p, x).rep
-    return rational_square_class_rep(p, x)
-
-
 def rational_is_square(p: int, q: Rational) -> bool:
     """Exact squareness test for a nonzero rational viewed in Q_p."""
     return rational_square_class_rep(p, q) == 1

@@ -8,7 +8,7 @@ grid always suffices).  It is held as the set of its canonical integer
 representatives, so a norm test is one class reduction and one set lookup.
 Membership is also decided by the Hilbert symbol (``chatelet.hilbert``),
 which at odd p is the valuation criterion: for unramified L, x is a norm iff
-v(x) is even; for ramified L, iff x/pi_K^v(x) is a square.
+v(x) is even; for ramified L, iff x/N(pi_L)^v(x) is a square.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .padic import (
-    SquareClass,
-    class_rep_of,
-    frac_val_unit,
-    rational_square_class_rep,
-    square_class_reps,
-)
+from .padic import SquareClass, frac_val_unit, rational_square_class_rep, square_class_reps
 
 
 class NormSubgroupError(ArithmeticError):
@@ -71,9 +65,6 @@ class QuadExtElem:
                            self.a * o.a + d * self.b * o.b,
                            self.a * o.b + self.b * o.a)
 
-    def __rmul__(self, other):
-        return self._coerce(other) * self
-
     def __add__(self, other) -> "QuadExtElem":
         o = self._coerce(other)
         return QuadExtElem(self.parent, self.a + o.a, self.b + o.b)
@@ -83,9 +74,6 @@ class QuadExtElem:
 
     def __neg__(self):
         return QuadExtElem(self.parent, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -117,8 +105,8 @@ class QuadExt:
     """L = Q_p(sqrt(d)) for a nontrivial square class d.
 
     Immutable; the norm-image subgroup of the square-class group is computed
-    eagerly and cached in the value.  For ramified L a uniformiser pi_L is
-    fixed deterministically and pi_K = N(pi_L) is an exact rational.
+    eagerly and cached in the value as its canonical integer representatives.
+    For ramified L a uniformiser pi_L is fixed deterministically.
     """
 
     p: int
@@ -126,17 +114,11 @@ class QuadExt:
     ramified: bool
     s: Optional[int] = None
     pi_L: Optional[QuadExtElem] = field(default=None, compare=False)
-    pi_K: Optional[Fraction] = field(default=None, compare=False)
     norm_reps: frozenset = field(default_factory=frozenset, compare=False)
-
-    @property
-    def norm_classes(self) -> frozenset:
-        """The norm image as a set of SquareClass values."""
-        return frozenset(SquareClass(self.p, r) for r in self.norm_reps)
 
     def is_norm(self, x) -> bool:
         """x in N_{L/K}L^*, decided on square classes (Prop: norms contain squares)."""
-        return class_rep_of(self.p, x) in self.norm_reps
+        return rational_square_class_rep(self.p, x) in self.norm_reps
 
     def element(self, a, b) -> QuadExtElem:
         return QuadExtElem(self, a, b)
@@ -213,10 +195,8 @@ def _build(p: int, d_rep: int) -> QuadExt:
     ext = QuadExt(p=p, d=d, ramified=ramified, norm_reps=_norm_class_subgroup(p, d_rep))
     if ramified:
         pi_L = _choose_uniformiser(ext)
-        pi_K = pi_L.norm()
         object.__setattr__(ext, "pi_L", pi_L)
-        object.__setattr__(ext, "pi_K", pi_K)
-        if not ext.is_norm(pi_K):
+        if not ext.is_norm(pi_L.norm()):
             raise NormSubgroupError("N(pi_L) not in the computed norm image")
         if p == 2:
             object.__setattr__(ext, "s", s_invariant(ext))
@@ -225,7 +205,7 @@ def _build(p: int, d_rep: int) -> QuadExt:
 
 def build_extension(p: int, d) -> QuadExt:
     """Construct Q_p(sqrt(d)).  Raises ValueError when d is a square (split case)."""
-    rep = class_rep_of(p, d)
+    rep = rational_square_class_rep(p, d)
     if rep == 1:
         raise ValueError("d is a square: K(sqrt(d)) is split, not a field")
     return _build(p, rep)
@@ -236,11 +216,11 @@ def build_extension(p: int, d) -> QuadExt:
 def lambda_base(ext: QuadExt, i: int, x) -> int:
     """lambda_{i,K}(1 + theta*pi_K^i) = theta mod 2, for x in U_{i,K}.
 
-    Uses pi_K = N(pi_L) of the given ramified extension.  Vanishes exactly
-    on U_{i+1,K}.  The level of x is v_K(1 - x), read off the rational.
+    Defined for a ramified extension.  Vanishes exactly on U_{i+1,K}.  The
+    level of x is v_K(1 - x), read off the rational.
     """
-    if ext.pi_K is None:
-        raise ValueError("lambda_base needs a ramified extension (for pi_K)")
+    if not ext.ramified:
+        raise ValueError("lambda_base needs a ramified extension")
     if x == 0 or frac_val_unit(ext.p, x)[0] != 0:
         raise ValueError(f"argument not in U_{i}")
     if x == 1:

@@ -35,6 +35,13 @@ class InconsistencyError(ArithmeticError):
     """Classifier and witness oracle disagree; a hard internal failure."""
 
 
+# Largest residue count p * (v(disc)//2 + 2) the cubic root descent may scan:
+# it visits at most v(disc)//2 + 2 nodes and scans p residues at each.  At the
+# cap p = 5000011 with v(disc) = 0 took 1.2 s on one x86-64 core, and
+# p = 1000003 with v(disc) = 12 took 0.8 s.
+MAX_CUBIC_RESIDUES = 10 ** 7
+
+
 @dataclass
 class LocalChowResult:
     """Outcome of a local classification, with provenance.
@@ -48,10 +55,6 @@ class LocalChowResult:
     reason: str
     witness: Optional[Fraction] = None
     details: dict = field(default_factory=dict)
-
-    @property
-    def is_z2(self) -> bool:
-        return self.outcome is Outcome.Z2
 
     def to_dict(self) -> dict:
         return {
@@ -163,7 +166,7 @@ def count_roots_cubic(p: int, a: Rational, b: Rational, c: Rational):
     depth is exact.  Returns (count, roots, certificate) where roots are
     Fractions approximating each root to the certified depth and the
     certificate records the exhaustion parameters.  Rejects repeated roots
-    (disc = 0).
+    (disc = 0), and a descent above MAX_CUBIC_RESIDUES before it starts.
 
     x = t / p^s makes the cubic monic with p-integral coefficients; g is that
     cubic with its coefficients reduced mod p^depth, depth = 2 v(disc g) + 1.
@@ -217,6 +220,11 @@ def count_roots_cubic(p: int, a: Rational, b: Rational, c: Rational):
     C = c * p ** (3 * s)
     g_disc = disc * Fraction(p) ** (6 * s)
     vd = frac_val_unit(p, g_disc)[0]
+    residues = p * (vd // 2 + 2)
+    if residues > MAX_CUBIC_RESIDUES:
+        raise ValueError(
+            f"cubic root descent would scan up to {residues} residues at p = {p}, "
+            f"above the cap of {MAX_CUBIC_RESIDUES}")
     depth = 2 * vd + 1
 
     m = p ** depth
@@ -233,11 +241,13 @@ def count_roots_cubic(p: int, a: Rational, b: Rational, c: Rational):
             certified += p ** k
             continue
         h0, h1, h2, h3 = h
+        # the scan reads h mod p only, so it runs on residues below p
+        r0, r1, r2, r3 = (q % p for q in h)
         found = []
         for t in range(p):
-            ht = ((h3 * t + h2) * t + h1) * t + h0
-            if ht % p:
+            if (((r3 * t + r2) * t + r1) * t + r0) % p:
                 continue
+            ht = ((h3 * t + h2) * t + h1) * t + h0
             dht = (3 * h3 * t + 2 * h2) * t + h1
             if dht % p:
                 mod = p ** (depth - j)

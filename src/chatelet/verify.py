@@ -23,16 +23,16 @@ def _summary(name, checks, failures):
             "failures": failures[:20]}
 
 
-def suite_hilbert(primes=(2, 3, 5, 7, 13), oracle=True) -> dict:
+def suite_hilbert() -> dict:
     """Symbol axioms and formula/oracle agreement over all square classes."""
     checks, failures = 0, []
-    for p in primes:
+    for p in (2, 3, 5, 7, 13):
         reps = square_class_reps(p)
         table = {}
         for a, b in product(reps, repeat=2):
             table[(a, b)] = hilbert(p, a, b)
             checks += 1
-            if oracle and table[(a, b)] != hilbert_oracle(p, a, b):
+            if table[(a, b)] != hilbert_oracle(p, a, b):
                 failures.append(f"(a={a},b={b})_{p}: formula != conic oracle")
         for a, b in product(reps, repeat=2):
             checks += 1
@@ -52,12 +52,12 @@ def suite_hilbert(primes=(2, 3, 5, 7, 13), oracle=True) -> dict:
     return _summary("hilbert", checks, failures)
 
 
-def suite_norms(primes=(2, 3, 5, 7)) -> dict:
+def suite_norms() -> dict:
     """is_norm by the norm subgroup and by the Hilbert symbol (at odd p the
     valuation criterion) must agree on every square class, for every
     nontrivial d."""
     checks, failures = 0, []
-    for p in primes:
+    for p in (2, 3, 5, 7):
         reps = square_class_reps(p)
         for d in reps[1:]:
             L = build_extension(p, d)
@@ -106,30 +106,28 @@ def suite_filtration() -> dict:
     return _summary("filtration", checks, failures)
 
 
-def _e_grid(p: int, e_range: int = 20):
-    for base in range(-e_range, e_range + 1):
+def _e_grid(p: int):
+    for base in range(-20, 21):
         if base == 0:
             continue
         for j in range(4):
             yield Fraction(base) * Fraction(p) ** j
 
 
-def suite_oracle(primes=(2, 3, 5, 7), e_range=20,
-                 grid: SearchGrid | None = None) -> dict:
+def suite_oracle() -> dict:
     """Classifier vs witness search: Z/2Z iff a (1,1)-witness exists; {0}
     forces chi = (0,0) on all of sampled M.  Also checks the diagonal law."""
     checks, failures = 0, []
-    g = grid or SearchGrid()
-    for p in primes:
+    for p in (2, 3, 5, 7):
         small = SearchGrid(max_abs_valuation=3,
                            residue_depth=4 if p == 2 else 1)
         for d in square_class_reps(p)[1:]:
-            for e in _e_grid(p, e_range):
+            for e in _e_grid(p):
                 if rational_is_square(p, e):
                     continue
                 iso = SquareClass.of(p, e) == SquareClass.of(p, d)
                 res = classify_pair(p, d, e)
-                w = find_witness(p, d, e, g)
+                w = find_witness(p, d, e)
                 checks += 1
                 if (res.outcome is Outcome.Z2) != (w is not None):
                     failures.append(

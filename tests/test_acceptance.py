@@ -11,8 +11,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from chatelet.chi import SearchGrid, chi, find_witness, sample_M
 from chatelet.globalq import bad_places, classify_all_places, classify_place
 from chatelet.hilbert import hilbert, hilbert_oracle

@@ -66,6 +66,16 @@ class TestChi:
         assert tuple(v) == (1, 1)
         assert v.as_tuple() == (1, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: sample_M(3, 2, 4),
+        lambda: find_witness(3, 2, 4),
+        lambda: chi(3, 0, 2, 4),
+    ], ids=["sample_M", "find_witness", "chi"])
+    def test_square_e_refused(self, call):
+        # e = 4 splits x^2 - e, so there is no chi map to sample or search
+        with pytest.raises(ValueError, match="e is a square"):
+            call()
+
 
 class TestWitness:
     def test_witness_found_in_z2_case(self):

@@ -65,6 +65,21 @@ class TestClassify:
         assert code == 0
         assert out.startswith("0")
 
+    def test_cubic_above_residue_cap_exit_two(self, capsys):
+        # the root descent would scan about 6 * 10^24 residues
+        start = time.monotonic()
+        code, out, err = run(capsys, "classify", "-p", "2999999999999999999999957",
+                             "--d", "3", "--cubic", "0,0,-2")
+        assert code == 2
+        assert err.startswith("error:") and "cap" in err and out == ""
+        assert time.monotonic() - start < 2.0
+
+    def test_cubic_below_residue_cap(self, capsys):
+        code, out, _ = run(capsys, "classify", "-p", "1000003", "--d", "3",
+                           "--cubic", "0,0,-2")
+        assert code == 0
+        assert out.startswith("0")
+
     def test_json_matches_schema(self, capsys):
         schema = load_schema("result.json")
         for argv in (["classify", "-p", "5", "--d", "2", "--e", "5", "--json"],
@@ -131,6 +146,22 @@ class TestWitness:
                            "--window", "3", "--depth", "4")
         assert code == 0
         assert "no witness" in out
+
+    @pytest.mark.parametrize("d, e, expected, message", [
+        ("0", "2", 2, "d and e must be nonzero"),
+        ("2", "0", 2, "d and e must be nonzero"),
+        ("4", "2", 3, "d is a square"),
+        ("2", "4", 3, "e is a square"),
+    ])
+    def test_zero_is_bad_input_and_square_is_out_of_scope(self, capsys, d, e,
+                                                          expected, message):
+        # as in classify: zero d or e is malformed input, and a square d or e
+        # is a split case
+        start = time.monotonic()
+        code, out, err = run(capsys, "witness", "-p", "3", "--d", d, "--e", e)
+        assert code == expected
+        assert err.startswith("error:") and message in err and out == ""
+        assert time.monotonic() - start < 2.0
 
     def test_grid_above_cap_exit_two(self, capsys):
         # a {0} surface: the 13 * 2^39-point grid would be scanned to the end

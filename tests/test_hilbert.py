@@ -18,10 +18,9 @@ from chatelet.hilbert import (
     symbol_route,
 )
 from chatelet.padic import (
-    class_rep_of,
     frac_val_unit,
     is_prime,
-    rational_is_square,
+    rational_square_class_rep,
     smallest_nonresidue,
     square_class_reps,
 )
@@ -35,7 +34,7 @@ def grid_scan_oracle(p, a, b):
     """The m x m primitive-pair scan that hilbert_oracle replaced, kept as an
     independent reference: some (y, z) with z^2 - b y^2 in the table of a x^2,
     x a unit, or (y, z) primitive and any x."""
-    ra, rb = class_rep_of(p, a), class_rep_of(p, b)
+    ra, rb = rational_square_class_rep(p, a), rational_square_class_rep(p, b)
     if ra == 1 or rb == 1:
         return 1
     delta = (p == 2) + max(frac_val_unit(p, ra)[0], frac_val_unit(p, rb)[0])

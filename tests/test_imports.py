@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test module imports is used in
+that module.
 
 A deletion can strand the import of a name it no longer needs; this guard
 reads each module's syntax tree with the standard library ``ast`` and fails
@@ -13,7 +14,8 @@ import pytest
 
 import chatelet
 
-MODULES = sorted(Path(chatelet.__file__).parent.glob("*.py"))
+MODULES = (sorted(Path(chatelet.__file__).parent.glob("*.py"))
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def _bound_names(tree: ast.AST) -> dict[str, int]:

@@ -7,7 +7,6 @@ import pytest
 
 from chatelet.hilbert import hilbert
 from chatelet.padic import (
-    SquareClass,
     frac_val_unit,
     is_prime,
     rational_square_class_rep,
@@ -90,11 +89,11 @@ class TestNorms:
 
     def test_norm_class_subgroup_for_gaussian_q2(self):
         ext = build_extension(2, -1)
-        assert {c.rep for c in ext.norm_classes} == {1, 2, 5, 10}
+        assert ext.norm_reps == {1, 2, 5, 10}
 
     def test_norm_class_subgroup_for_unramified_q2(self):
         ext = build_extension(2, 5)
-        assert {c.rep for c in ext.norm_classes} == {1, -1, 5, -5}
+        assert ext.norm_reps == {1, -1, 5, -5}
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_norm_subgroup_has_index_two(self, p):
@@ -103,7 +102,7 @@ class TestNorms:
             if rep == 1:
                 continue
             ext = build_extension(p, rep)
-            assert len(ext.norm_classes) * 2 == total
+            assert len(ext.norm_reps) * 2 == total
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_three_norm_routes_agree(self, p):
@@ -195,8 +194,7 @@ class TestRamifiedBreakS:
                 unit = frac_val_unit(p, ext.d.rep)[0] == 0
                 assert (ext.pi_L.a, ext.pi_L.b) == ((1, 1) if unit else (0, 1)), \
                     (p, ext.d.rep)
-                assert ext.pi_K == ext.pi_L.norm()
-                assert frac_val_unit(p, ext.pi_K)[0] == 1
+                assert frac_val_unit(p, ext.pi_L.norm())[0] == 1
 
 
 class TestLambdaMaps:
