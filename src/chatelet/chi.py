@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .padic import Rational, SquareClass, rational_square_class_rep
+from .padic import Rational, frac_val_unit, rational_square_class_rep
 from .quadratic import QuadExt, build_extension
 
 # Largest search grid (points, 0 included) that may be scanned to the end.
@@ -96,7 +96,7 @@ def _extensions(p: int, d: Rational, e: Rational) -> tuple[QuadExt, bool]:
     if e_rep == 1:
         raise ValueError("e is a square: the split case has no chi map here")
     L = build_extension(p, d)
-    return L, L.d.rep == e_rep
+    return L, L.d == e_rep
 
 
 def _class_pair(p: int, x: Fraction, e: Fraction) -> Optional[tuple[int, int]]:
@@ -198,14 +198,13 @@ def verify_ramified_disjunction(d: Rational, e: Rational) -> bool:
     This always holds for non-isomorphic L, E; a False return is a failure of
     the underlying arithmetic, and the test suites treat it as such.
     """
-    from .padic import frac_val_unit
     d, e = Fraction(d), Fraction(e)
     if frac_val_unit(2, d)[0] != 1:
         raise ValueError("requires v(d) = 1")
     v_e = frac_val_unit(2, e)[0]
     if v_e not in (1, 3):
         raise ValueError("requires v(e) in {1, 3}")
-    if SquareClass.of(2, d) == SquareClass.of(2, e):
+    if rational_square_class_rep(2, d) == rational_square_class_rep(2, e):
         raise ValueError("requires non-isomorphic L and E")
     L = build_extension(2, d)
     middle = 1 - e if v_e == 1 else 1 - e / 4

@@ -64,12 +64,7 @@ def _depth(text: str) -> int:
 def _grid(args) -> SearchGrid:
     """The grid of --window/--depth.  A grid that will be searched is refused
     above its size cap here, outside any handler, so main exits 2."""
-    kwargs = {}
-    if getattr(args, "window", None) is not None:
-        kwargs["max_abs_valuation"] = args.window
-    if getattr(args, "depth", None) is not None:
-        kwargs["residue_depth"] = args.depth
-    grid = SearchGrid(**kwargs)
+    grid = SearchGrid(args.window, args.depth)
     if getattr(args, "with_witness", True):
         grid.check_size(args.p)
     return grid
@@ -196,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, grid=False):
         sp.add_argument("--json", action="store_true", help="emit JSON")
         if grid:
-            sp.add_argument("--window", type=_window, default=None,
+            sp.add_argument("--window", type=_window,
+                            default=SearchGrid.max_abs_valuation,
                             help="search-grid valuation window half-width")
             sp.add_argument("--depth", type=_depth, default=None,
                             help="search-grid unit-residue digit depth")

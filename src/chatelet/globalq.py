@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 from sympy import factorint
 
-from .padic import Rational, rational_is_square
+from .padic import Rational, frac_val_unit, rational_is_square
 from .surface import LocalChowResult, Outcome, classify_pair
 
 DISCLAIMER = ("local groups only: assembling A0(X)0 over Q needs the exact "
@@ -61,7 +62,6 @@ def rational_square(q: Fraction) -> bool:
     q = Fraction(q)
     if q <= 0:
         return q == 0
-    from math import isqrt
     n, m = q.numerator, q.denominator
     return isqrt(n) ** 2 == n and isqrt(m) ** 2 == m
 
@@ -83,8 +83,7 @@ def classify_place(place: Union[int, str], d: Rational, e: Rational,
     if place == "real":
         return PlaceReport("real", classify_real_place(d, e))
     p = int(place)
-    d, e = Fraction(d), Fraction(e)
-    if (p != 2 and not rational_support_at(p, e) and rational_is_square(p, e)
+    if (p != 2 and frac_val_unit(p, e)[0] == 0 and rational_is_square(p, e)
             and not rational_is_square(p, d)):
         # bad through d only, while e is a square unit: split fibre, unit roots
         return PlaceReport(p, LocalChowResult(
@@ -93,16 +92,10 @@ def classify_place(place: Union[int, str], d: Rational, e: Rational,
     return PlaceReport(p, classify_pair(p, d, e, with_witness=with_witness))
 
 
-def rational_support_at(p: int, q: Rational) -> bool:
-    q = Fraction(q)
-    return q.numerator % p == 0 or q.denominator % p == 0
-
-
 def classify_all_places(d: Rational, e: Rational,
                         with_witness: bool = False) -> list[PlaceReport]:
     """PlaceReports at every bad place plus the real place, ordered by place
     (finite primes ascending, then "real").  All other places are {0}."""
-    d, e = Fraction(d), Fraction(e)
     reports = [classify_place(p, d, e, with_witness=with_witness)
                for p in bad_places(d, e)]
     reports.append(classify_place("real", d, e))

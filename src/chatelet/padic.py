@@ -107,6 +107,8 @@ def _strip(p: int, n: int) -> tuple[int, int]:
     if p == 2:
         v = (n & -n).bit_length() - 1
         return v, n >> v
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     v = 0
     while n % p == 0:
         n //= p

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .padic import SquareClass, frac_val_unit, rational_square_class_rep, square_class_reps
+from .padic import frac_val_unit, rational_square_class_rep, square_class_reps
 
 
 class NormSubgroupError(ArithmeticError):
@@ -56,11 +56,11 @@ class QuadExtElem:
 
     def norm(self) -> Fraction:
         """N_{L/K}(a + b sqrt(d)) = a^2 - d b^2, an exact rational."""
-        return self.a * self.a - self.parent.d.rep * self.b * self.b
+        return self.a * self.a - self.parent.d * self.b * self.b
 
     def __mul__(self, other) -> "QuadExtElem":
         o = self._coerce(other)
-        d = self.parent.d.rep
+        d = self.parent.d
         return QuadExtElem(self.parent,
                            self.a * o.a + d * self.b * o.b,
                            self.a * o.b + self.b * o.a)
@@ -97,12 +97,13 @@ class QuadExtElem:
         return vn // 2
 
     def __repr__(self):
-        return f"({self.a}) + ({self.b})*sqrt({self.parent.d.rep})"
+        return f"({self.a}) + ({self.b})*sqrt({self.parent.d})"
 
 
 @dataclass(frozen=True)
 class QuadExt:
-    """L = Q_p(sqrt(d)) for a nontrivial square class d.
+    """L = Q_p(sqrt(d)) for a nontrivial square class, held as its canonical
+    int representative ``d`` (``square_class_reps``).
 
     Immutable; the norm-image subgroup of the square-class group is computed
     eagerly and cached in the value as its canonical integer representatives.
@@ -110,7 +111,7 @@ class QuadExt:
     """
 
     p: int
-    d: SquareClass
+    d: int
     ramified: bool
     s: Optional[int] = None
     pi_L: Optional[QuadExtElem] = field(default=None, compare=False)
@@ -125,7 +126,7 @@ class QuadExt:
 
     def __repr__(self):
         kind = "ramified" if self.ramified else "unramified"
-        return f"Q_{self.p}(sqrt({self.d.rep})) [{kind}]"
+        return f"Q_{self.p}(sqrt({self.d})) [{kind}]"
 
 
 def _norm_class_subgroup(p: int, d_rep: int) -> frozenset:
@@ -165,7 +166,7 @@ def _choose_uniformiser(ext: QuadExt) -> QuadExtElem:
     v(d) = 0 happens only at p = 2, for d = -1 and d = -5: pi_L = 1 + sqrt(d),
     whose norm 1 - d is 2 or 6, of valuation 1.
     """
-    v_d = frac_val_unit(ext.p, ext.d.rep)[0]
+    v_d = frac_val_unit(ext.p, ext.d)[0]
     pi_L = ext.element(0, 1) if v_d == 1 else ext.element(1, 1)
     if pi_L.valuation() != 1:
         raise NormSubgroupError(f"{pi_L} is not a uniformiser; arithmetic bug")
@@ -187,12 +188,11 @@ def s_invariant(ext: QuadExt) -> int:
 
 @lru_cache(maxsize=None)
 def _build(p: int, d_rep: int) -> QuadExt:
-    d = SquareClass(p, d_rep)
     if p == 2:
         ramified = d_rep != 5
     else:
         ramified = frac_val_unit(p, d_rep)[0] % 2 == 1
-    ext = QuadExt(p=p, d=d, ramified=ramified, norm_reps=_norm_class_subgroup(p, d_rep))
+    ext = QuadExt(p=p, d=d_rep, ramified=ramified, norm_reps=_norm_class_subgroup(p, d_rep))
     if ramified:
         pi_L = _choose_uniformiser(ext)
         object.__setattr__(ext, "pi_L", pi_L)

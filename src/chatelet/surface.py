@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .chi import SearchGrid, chi, find_witness
 from .padic import (
     Rational,
     SquareClass,
     frac_val_unit,
-    int_valuation,
     is_prime,
     rational_is_square,
     rational_square_class_rep,
@@ -98,33 +98,28 @@ def classify_pair(p: int, d: Rational, e: Rational,
     if d == 0 or e == 0:
         raise ValueError("d and e must be nonzero")
 
-    if rational_is_square(p, d):
+    dc, ec = SquareClass.of(p, d), SquareClass.of(p, e)
+    if dc.is_trivial:
         result = LocalChowResult(Outcome.ZERO,
                                  "d is a square: surface is birational to the plane")
-    elif rational_is_square(p, e):
+    elif ec.is_trivial:
         result = LocalChowResult(
             Outcome.OUT_OF_SCOPE,
             "split case: x^2 - e factors over Q_p (treated in prior work)")
-    elif SquareClass.of(p, d) == SquareClass.of(p, e):
+    elif dc == ec:
         result = LocalChowResult(
             Outcome.ZERO, "L and E are isomorphic quadratic extensions")
     elif p != 2:
         result = LocalChowResult(
             Outcome.Z2, "odd p with non-isomorphic quadratic extensions L, E")
+    elif build_extension(2, dc.rep).ramified:
+        result = LocalChowResult(Outcome.Z2, "L ramified over Q_2")
+    elif frac_val_unit(2, e)[0] % 4 == 0:
+        result = LocalChowResult(
+            Outcome.ZERO, "L unramified over Q_2 and v(e) = 0 mod 4")
     else:
-        L = build_extension(2, d)
-        if not L.ramified:
-            v_e = frac_val_unit(2, e)[0]
-            if v_e % 4 == 0:
-                result = LocalChowResult(
-                    Outcome.ZERO,
-                    "L unramified over Q_2 and v(e) = 0 mod 4")
-            else:
-                result = LocalChowResult(
-                    Outcome.Z2,
-                    "L unramified over Q_2 and v(e) != 0 mod 4")
-        else:
-            result = LocalChowResult(Outcome.Z2, "L ramified over Q_2")
+        result = LocalChowResult(
+            Outcome.Z2, "L unramified over Q_2 and v(e) != 0 mod 4")
 
     if with_witness:
         _attach_witness(p, d, e, result, grid)
@@ -132,7 +127,6 @@ def classify_pair(p: int, d: Rational, e: Rational,
 
 
 def _attach_witness(p, d, e, result: LocalChowResult, grid):
-    from .chi import SearchGrid, chi, find_witness
     if result.outcome is not Outcome.Z2:
         return
     g = grid or SearchGrid()
@@ -257,10 +251,14 @@ def count_roots_cubic(p: int, a: Rational, b: Rational, c: Rational):
                 found.append((r + p ** j * y, None, k - j, None))
             else:
                 # h(t + p y) by Taylor expansion at t, then its content removed
+                # the content is stripped one p at a time from all four
+                # coefficients, which ends since h3 p^3 != 0
                 child = (ht, dht * p, (3 * h3 * t + h2) * p * p, h3 * p ** 3)
-                e = min(int_valuation(p, q) for q in child if q)
-                found.append((r + t * p ** j, j + 1, k + e,
-                              tuple(q // p ** e for q in child)))
+                e = 0
+                while not any(q % p for q in child):
+                    child = tuple(q // p for q in child)
+                    e += 1
+                found.append((r + t * p ** j, j + 1, k + e, child))
         stack.extend(reversed(found))
 
     certificate = {"scaling": s, "hensel_depth": depth,

@@ -1,10 +1,12 @@
 """Every name a module of the package or a test module imports is used in
-that module.
+that module, and the package imports only at module level.
 
 A deletion can strand the import of a name it no longer needs; this guard
 reads each module's syntax tree with the standard library ``ast`` and fails
 on any imported name that is never referenced.  Names listed in a module's
-``__all__`` count as used, since they are re-exported.
+``__all__`` count as used, since they are re-exported.  An import inside a
+function hides a module's dependencies from its header, so the package has
+none.
 """
 
 import ast
@@ -14,8 +16,8 @@ import pytest
 
 import chatelet
 
-MODULES = (sorted(Path(chatelet.__file__).parent.glob("*.py"))
-           + sorted(Path(__file__).parent.glob("*.py")))
+PACKAGE = sorted(Path(chatelet.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _bound_names(tree: ast.AST) -> dict[str, int]:
@@ -63,3 +65,15 @@ def test_no_unused_imports(path):
     bound = _bound_names(tree)
     unused = sorted(set(bound) - _used_names(tree))
     assert not unused, [f"{path.name}:{bound[n]}: {n}" for n in unused]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_imports_in_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = sorted(
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not nested, [f"{path.name}:{line}" for line in nested]

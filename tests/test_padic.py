@@ -1,16 +1,20 @@
 """Square classes, squareness, epsilon/omega, the unit filtration and primality."""
 
 import dataclasses
+import signal
 import time
 from fractions import Fraction
 
 import pytest
 
+from chatelet.chi import in_M, sample_M
+from chatelet.hilbert import hilbert
 from chatelet.padic import (
     MR_LIMIT,
     SquareClass,
     epsilon,
     frac_val_unit,
+    int_valuation,
     is_prime,
     omega,
     rational_is_square,
@@ -78,6 +82,33 @@ def test_zero_is_tagged_and_rejected_by_class_ops():
                SquareClass.of):
         with pytest.raises(ValueError):
             op(2, 0)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("still running after 2 s")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hilbert(1, 2, 3),
+    lambda: build_extension(1, 2),
+    lambda: frac_val_unit(1, 6),
+    lambda: int_valuation(-1, 6),
+    lambda: int_valuation(0, 6),
+    lambda: in_M(1, 1, 2, 3),
+    lambda: sample_M(1, 2, 3),
+], ids=["hilbert", "build_extension", "frac_val_unit", "int_valuation",
+        "int_valuation_zero", "in_M", "sample_M"])
+def test_p_below_two_refused(call):
+    # n % p is 0 for every n when p = 1 or -1, so stripping p never ended;
+    # the alarm turns such a hang into a failure
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(ValueError, match="not prime"):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_mixed_primes_rejected():

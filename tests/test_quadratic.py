@@ -26,7 +26,7 @@ def brute_is_norm(ext, x, box=9):
             for m in (1, 2, 3, 4) if not (n == 0 and m > 1)]
     for a in grid:
         for b in grid:
-            nm = a * a - ext.d.rep * b * b
+            nm = a * a - ext.d * b * b
             if nm and rational_square_class_rep(ext.p, nm) == target:
                 return True
     return False
@@ -189,11 +189,11 @@ class TestRamifiedBreakS:
             exts = [build_extension(p, d) for d in square_class_reps(p)[1:]]
             ramified = [ext for ext in exts if ext.ramified]
             if p == 2:
-                assert {ext.d.rep for ext in ramified} == set(self.TABLE)
+                assert {ext.d for ext in ramified} == set(self.TABLE)
             for ext in ramified:
-                unit = frac_val_unit(p, ext.d.rep)[0] == 0
+                unit = frac_val_unit(p, ext.d)[0] == 0
                 assert (ext.pi_L.a, ext.pi_L.b) == ((1, 1) if unit else (0, 1)), \
-                    (p, ext.d.rep)
+                    (p, ext.d)
                 assert frac_val_unit(p, ext.pi_L.norm())[0] == 1
 
 

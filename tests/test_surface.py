@@ -185,6 +185,22 @@ class TestClassifyPair:
                 assert classify_pair(p, d, Fraction(e, p ** 8)).outcome is base
 
 
+@pytest.mark.parametrize("p, d, e, outcome, reason", [
+    (3, 4, 2, Outcome.ZERO, "d is a square: surface is birational to the plane"),
+    (5, 2, 4, Outcome.OUT_OF_SCOPE,
+     "split case: x^2 - e factors over Q_p (treated in prior work)"),
+    (5, 2, 18, Outcome.ZERO, "L and E are isomorphic quadratic extensions"),
+    (5, 2, 5, Outcome.Z2, "odd p with non-isomorphic quadratic extensions L, E"),
+    (2, -1, 3, Outcome.Z2, "L ramified over Q_2"),
+    (2, 5, 3, Outcome.ZERO, "L unramified over Q_2 and v(e) = 0 mod 4"),
+    (2, 5, 2, Outcome.Z2, "L unramified over Q_2 and v(e) != 0 mod 4"),
+])
+def test_classify_pair_branch(p, d, e, outcome, reason):
+    """One input per branch of classify_pair's decision chain."""
+    r = classify_pair(p, d, e)
+    assert (r.outcome, r.reason) == (outcome, reason)
+
+
 class TestOutcomeConsistency:
     """The classifier's verdicts agree with direct evaluation of chi on M."""
 
@@ -338,7 +354,8 @@ class TestRootCountingReference:
 
 
 class TestDeepCubics:
-    """Deep inputs, v(disc) of 60 and more, under 1 s budgets."""
+    """Deep inputs, v(disc) of 60 and more, under 1 s budgets (2 s for a
+    1,432-digit coefficient)."""
 
     def test_three_close_roots_at_3(self):
         # x^3 - 3^20 x = x (x - 3^10)(x + 3^10), v(disc) = 60
@@ -347,6 +364,18 @@ class TestDeepCubics:
         assert time.perf_counter() - t0 < 1.0
         assert count == 3
         assert cert["residues_certified"] == 3 ** 21
+
+    def test_coefficient_size_within_budget(self):
+        # x^3 - 3^3000 x: a 1,432-digit coefficient, v(disc) = 9000; the
+        # content of each child is stripped in O(content) divisions, not in
+        # O(depth) as a per-coefficient valuation would take
+        t0 = time.perf_counter()
+        count, roots, cert = count_roots_cubic(3, 0, -3 ** 3000, 0)
+        assert time.perf_counter() - t0 < 2.0
+        assert count == 3
+        assert cert["disc_valuation"] == 9000
+        assert cert["hensel_depth"] == 18001
+        assert cert["residues_certified"] == 3 ** 3001
 
     def test_deep_irreducible_at_7(self):
         t0 = time.perf_counter()
