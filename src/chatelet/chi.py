@@ -141,18 +141,17 @@ def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
 
     chi(x) = (class of x, class of x - sqrt(e)) for x != 0 and
     (class of -e, class of -sqrt(e)) for x = 0, with the second coordinate
-    computed via the norm transfer and forced to 0 when L = E.
+    computed via the norm transfer.  When L = E, e = lambda^2 d, so
+    x^2 - e = N(x + lambda sqrt(d)) and -e = N(lambda sqrt(d)) are norms and
+    the second coordinate is 0, as E*/N(LE*) is trivial.
     """
     x, e = _fraction(x), _fraction(e)
-    L, iso = _extensions(p, d, e)
+    L = _extensions(p, d, e)[0]
     if not in_M(p, x, d, e):
         raise ValueError(f"x = {x} is not in M; chi is undefined there")
     first_arg, second_arg = _class_pair(p, x, e)
     first = 0 if L.is_norm(first_arg) else 1
-    if iso:
-        second = 0  # E*/N(LE*) is trivial when L = E
-    else:
-        second = 0 if L.is_norm(second_arg) else 1
+    second = 0 if L.is_norm(second_arg) else 1
     return ChiValue(first, second)
 
 
@@ -185,8 +184,8 @@ def find_witness(p: int, d: Rational, e: Rational,
     for x in g.candidates(p):
         reps = _class_pair(p, x, e)
         # N(L*) has index 2, so two non-norm classes multiply to a norm
-        # and x lies in M
-        if reps is not None and not L.is_norm(reps[0]) and not L.is_norm(reps[1]):
+        # and x lies in M; the reps are canonical, so each test is a lookup
+        if reps is not None and reps[0] not in L.norm_reps and reps[1] not in L.norm_reps:
             return x
     return None
 

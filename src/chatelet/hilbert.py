@@ -37,8 +37,6 @@ allocated.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .padic import epsilon, frac_val_unit, omega, rational_is_square, rational_square_class_rep
@@ -51,10 +49,9 @@ MAX_ORACLE_MODULUS = 2 ** 22
 def hilbert_2(a, b) -> int:
     """(a,b)_2 by the closed formula on a = 2^alpha u, b = 2^beta v."""
     ra, rb = rational_square_class_rep(2, a), rational_square_class_rep(2, b)
-    alpha, u = frac_val_unit(2, ra)
-    beta, v = frac_val_unit(2, rb)
-    ui, vi = int(u), int(v)
-    exponent = epsilon(ui) * epsilon(vi) + omega(vi) * alpha + omega(ui) * beta
+    alpha, beta = ra % 2 == 0, rb % 2 == 0
+    u, v = ra >> alpha, rb >> beta
+    exponent = epsilon(u) * epsilon(v) + omega(v) * alpha + omega(u) * beta
     return -1 if exponent % 2 else 1
 
 
@@ -63,20 +60,20 @@ def hilbert_odd(p: int, a, b) -> int:
 
     Unramified Q_p(sqrt(b)): a is a norm iff v(a) is even.  Ramified, with
     pi_K = N(sqrt(b')) = -b' for the valuation-one representative b': a is a
-    norm iff a/pi_K^{v(a)} is a square.
+    norm iff a/pi_K^{v(a)} is a square.  Both tests run on the class
+    representatives a', b' of a and b, whose valuations are 0 or 1 and are
+    read off as a' % p == 0.  The class of a'/pi_K^{v(a')} is that of
+    a' * pi_K^{v(a')}, since the two differ by pi_K^{2 v(a')}.
     """
     if p == 2:
         raise ValueError("use hilbert_2 for p = 2")
     ra, rb = rational_square_class_rep(p, a), rational_square_class_rep(p, b)
     if rb == 1:
         return 1
-    v_b = frac_val_unit(p, rb)[0]
-    v_a = frac_val_unit(p, ra)[0]
-    if v_b % 2 == 0:
+    if rb % p:
         # unramified extension
-        return 1 if v_a % 2 == 0 else -1
-    pi_K = -rb
-    return 1 if rational_is_square(p, Fraction(ra, 1) / Fraction(pi_K) ** v_a) else -1
+        return -1 if ra % p == 0 else 1
+    return 1 if rational_is_square(p, -ra * rb if ra % p == 0 else ra) else -1
 
 
 def hilbert(p: int, a, b) -> int:

@@ -7,6 +7,11 @@ the unit n*d, read modulo 8 for p = 2 and through its Legendre symbol for
 odd p (Hensel's lemma; Serre, *A Course in Arithmetic*, II.3).  So every
 value is carried as an exact int or Fraction and no p-adic digits are ever
 truncated; there is no floating point anywhere in this package.
+
+Every class reduction at odd p reads the cached per-prime table of
+representatives (``_class_reps``), which is where p is checked: a composite
+p raises ValueError there.  The representatives have valuation 0 or 1, so
+v(rep) is odd iff rep % p == 0.
 """
 
 from __future__ import annotations
@@ -86,6 +91,8 @@ def smallest_nonresidue(p: int) -> int:
 def _class_reps(p: int) -> tuple[int, ...]:
     if p == 2:
         return (1, -1, 5, -5, 2, -2, 10, -10)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     u = smallest_nonresidue(p)
     return (1, u, p, u * p)
 
@@ -139,7 +146,7 @@ def rational_square_class_rep(p: int, q: Rational) -> int:
     if p == 2:
         rep = _UNIT_REP_2[n % 8]
         return 2 * rep if v % 2 else rep
-    unit_rep = 1 if pow(n % p, (p - 1) // 2, p) == 1 else _class_reps(p)[1]
+    unit_rep = _class_reps(p)[pow(n % p, (p - 1) // 2, p) != 1]
     return p * unit_rep if v % 2 else unit_rep
 
 

@@ -166,8 +166,7 @@ def _choose_uniformiser(ext: QuadExt) -> QuadExtElem:
     v(d) = 0 happens only at p = 2, for d = -1 and d = -5: pi_L = 1 + sqrt(d),
     whose norm 1 - d is 2 or 6, of valuation 1.
     """
-    v_d = frac_val_unit(ext.p, ext.d)[0]
-    pi_L = ext.element(0, 1) if v_d == 1 else ext.element(1, 1)
+    pi_L = ext.element(0, 1) if ext.d % ext.p == 0 else ext.element(1, 1)
     if pi_L.valuation() != 1:
         raise NormSubgroupError(f"{pi_L} is not a uniformiser; arithmetic bug")
     return pi_L
@@ -186,12 +185,11 @@ def s_invariant(ext: QuadExt) -> int:
     return (1 - t).valuation()
 
 
-@lru_cache(maxsize=None)
+# Each cached field holds about 600 bytes; the bound keeps a long run over
+# many primes from growing without limit.
+@lru_cache(maxsize=1024)
 def _build(p: int, d_rep: int) -> QuadExt:
-    if p == 2:
-        ramified = d_rep != 5
-    else:
-        ramified = frac_val_unit(p, d_rep)[0] % 2 == 1
+    ramified = d_rep != 5 if p == 2 else d_rep % p == 0
     ext = QuadExt(p=p, d=d_rep, ramified=ramified, norm_reps=_norm_class_subgroup(p, d_rep))
     if ramified:
         pi_L = _choose_uniformiser(ext)

@@ -73,7 +73,6 @@ def _check_prime(p: int):
 def normalize_pair(p: int, d: Rational, e: Rational) -> tuple[Fraction, Fraction]:
     """Reduce to v(e) in {0,1,2,3} (e' = p^{-4k} e) and v(d') in {0,1}
     (square-class reduction of d).  Classification is invariant under this."""
-    _check_prime(p)
     d, e = Fraction(d), Fraction(e)
     if d == 0 or e == 0:
         raise ValueError("d and e must be nonzero")
@@ -93,7 +92,6 @@ def classify_pair(p: int, d: Rational, e: Rational,
     p = 2 -> the unramified case depends on v(e) mod 4, the ramified case is
     always Z/2Z.
     """
-    _check_prime(p)
     d, e = Fraction(d), Fraction(e)
     if d == 0 or e == 0:
         raise ValueError("d and e must be nonzero")
@@ -277,7 +275,6 @@ def classify_cubic(p: int, d: Rational, a: Rational, b: Rational, c: Rational,
     (one root with a square disc, three with a non-square) raises
     InconsistencyError.
     """
-    _check_prime(p)
     d = Fraction(d)
     if d == 0:
         raise ValueError("d must be nonzero")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chatelet.chi import MAX_GRID_SIZE, ChiValue, SearchGrid, chi, find_witness, in_M, sample_M, verify_ramified_disjunction
-from chatelet.padic import rational_is_square
+from chatelet.padic import rational_is_square, square_class_reps
 from chatelet.quadratic import build_extension
 
 GRID2 = SearchGrid(max_abs_valuation=3, residue_depth=4)
@@ -51,9 +51,14 @@ class TestChi:
                 assert value.first == value.second, (p, d, e, x)
 
     def test_trivial_when_extensions_coincide(self):
-        # d = 2, e = 18 define the same extension of Q_5
-        for x in sample_M(5, 2, 18, grid=GRID_ODD):
-            assert chi(5, x, 2, 18).as_tuple() == (0, 0)
+        # e = lambda^2 d defines the same extension as d; then x^2 - e and
+        # -e are norms from L, so chi vanishes on M
+        for p, grid in [(2, GRID2), (3, GRID_ODD), (5, GRID_ODD), (7, GRID_ODD)]:
+            for d in square_class_reps(p)[1:]:
+                for lam in (1, 3, Fraction(1, p), p, Fraction(5, 7)):
+                    e = d * lam * lam
+                    for x in sample_M(p, d, e, grid=grid):
+                        assert chi(p, x, d, e).as_tuple() == (0, 0), (p, d, e, x)
 
     def test_value_at_zero(self):
         # chi(0) tests -e against the norms of L

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from chatelet.chi import in_M, sample_M
-from chatelet.hilbert import hilbert
+from chatelet.chi import chi, find_witness, in_M, sample_M
+from chatelet.hilbert import hilbert, hilbert_oracle
 from chatelet.padic import (
     MR_LIMIT,
     SquareClass,
@@ -23,6 +23,7 @@ from chatelet.padic import (
     square_class_reps,
 )
 from chatelet.quadratic import build_extension, lambda_base
+from chatelet.surface import classify_cubic, classify_pair, count_roots_cubic, normalize_pair
 
 
 def brute_is_square_unit(p, u, k):
@@ -109,6 +110,32 @@ def test_p_below_two_refused(call):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15, 21])
+@pytest.mark.parametrize("call", [
+    lambda p: rational_square_class_rep(p, 5),
+    square_class_reps,
+    lambda p: hilbert(p, 5, 3),
+    lambda p: hilbert_oracle(p, 2, 3),
+    lambda p: build_extension(p, 2),
+    lambda p: in_M(p, 1, 2, 3),
+    lambda p: sample_M(p, 2, 3),
+    lambda p: find_witness(p, 2, 3),
+    lambda p: chi(p, 0, 2, 3),
+    lambda p: normalize_pair(p, 2, 3),
+    lambda p: classify_pair(p, 2, 3),
+    lambda p: classify_cubic(p, 2, 0, -3, 0),
+    lambda p: count_roots_cubic(p, 0, -3, 0),
+], ids=["rational_square_class_rep", "square_class_reps", "hilbert",
+        "hilbert_oracle", "build_extension", "in_M", "sample_M",
+        "find_witness", "chi", "normalize_pair", "classify_pair",
+        "classify_cubic", "count_roots_cubic"])
+def test_composite_p_refused(call, p):
+    # a composite p has no square-class group to answer in; every entry
+    # point refuses it rather than reading a Legendre symbol mod p
+    with pytest.raises(ValueError, match="not prime"):
+        call(p)
 
 
 def test_mixed_primes_rejected():
