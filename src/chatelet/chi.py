@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .padic import Rational, frac_val_unit, rational_square_class_rep
+from .padic import Rational, frac_val_unit, int_valuation, rational_square_class_rep
 from .quadratic import QuadExt, build_extension
 
 # Largest search grid (points, 0 included) that may be scanned to the end.
@@ -78,16 +78,20 @@ class SearchGrid:
                 f"{MAX_GRID_SIZE}; lower the residue depth or the valuation window")
 
     def candidates(self, p: int) -> Iterator[Fraction]:
-        """0, then s * p^i in grid order; residues are drawn lazily."""
+        """0, then s * p^i in grid order; residues are drawn lazily.
+
+        Each point is built from ints: s * p^i for i >= 0, and s / p^-i for
+        i < 0, which is already in lowest terms since p does not divide s.
+        """
         yield Fraction(0)
         m = p ** self.depth(p)
         vals = sorted(range(-self.max_abs_valuation, self.max_abs_valuation + 1),
                       key=lambda i: (abs(i), i))
         for i in vals:
-            scale = Fraction(p) ** i
+            scale = p ** abs(i)
             for s in range(1, m):
                 if s % p:
-                    yield s * scale
+                    yield Fraction(s * scale) if i >= 0 else Fraction(s, scale)
 
 
 def _extensions(p: int, d: Rational, e: Rational) -> tuple[QuadExt, bool]:
@@ -99,19 +103,19 @@ def _extensions(p: int, d: Rational, e: Rational) -> tuple[QuadExt, bool]:
     return L, L.d == e_rep
 
 
-def _class_pair(p: int, x: Fraction, e: Fraction) -> Optional[tuple[int, int]]:
-    """The classes of the two chi arguments at x, as canonical representatives:
-    x and x^2 - e for x != 0, and -e twice for x = 0, since chi(0) is read on
-    (-e, -sqrt(e)) and N(-sqrt(e)) = -e.  None when x^2 = e, which cannot
-    happen for nonsquare e.
+def _class_pair(p: int, x: Fraction, a: int, b: int) -> Optional[tuple[int, int]]:
+    """The classes of the two chi arguments at x for e = a/b, as canonical
+    representatives: x and x^2 - e for x != 0, and -e twice for x = 0, since
+    chi(0) is read on (-e, -sqrt(e)) and N(-sqrt(e)) = -e.  None when
+    x^2 = e, which cannot happen for nonsquare e.
 
     The product of the two classes is that of x(x^2 - e) for x != 0 and a
-    square for x = 0, so x lies in M iff the product is a norm.  With x = n/m
-    and e = a/b, x^2 - e = (n^2 b - a m^2) / (m^2 b), which lies in the class
-    of (n^2 b - a m^2) b since m^2 b^2 is a square.
+    square for x = 0, so x lies in M iff the product is a norm.  With x = n/m,
+    x^2 - e = (n^2 b - a m^2) / (m^2 b), which lies in the class of
+    (n^2 b - a m^2) b since m^2 b^2 is a square.  This holds for any a/b,
+    so a/b need not be in lowest terms.
     """
     n, m = x.numerator, x.denominator
-    a, b = e.numerator, e.denominator
     if n == 0:
         rep = rational_square_class_rep(p, -a * b)
         return rep, rep
@@ -123,7 +127,7 @@ def _class_pair(p: int, x: Fraction, e: Fraction) -> Optional[tuple[int, int]]:
 
 def _in_M(L: QuadExt, x: Fraction, e: Fraction) -> bool:
     """in_M with L already built."""
-    reps = _class_pair(L.p, x, e)
+    reps = _class_pair(L.p, x, e.numerator, e.denominator)
     return reps is not None and L.is_norm(reps[0] * reps[1])
 
 
@@ -149,9 +153,10 @@ def chi(p: int, x: Rational, d: Rational, e: Rational) -> ChiValue:
     L = _extensions(p, d, e)[0]
     if not in_M(p, x, d, e):
         raise ValueError(f"x = {x} is not in M; chi is undefined there")
-    first_arg, second_arg = _class_pair(p, x, e)
-    first = 0 if L.is_norm(first_arg) else 1
-    second = 0 if L.is_norm(second_arg) else 1
+    # the reps are canonical, so each coordinate is a lookup
+    first_arg, second_arg = _class_pair(p, x, e.numerator, e.denominator)
+    first = 0 if first_arg in L.norm_reps else 1
+    second = 0 if second_arg in L.norm_reps else 1
     return ChiValue(first, second)
 
 
@@ -170,23 +175,50 @@ def sample_M(p: int, d: Rational, e: Rational,
 
 def find_witness(p: int, d: Rational, e: Rational,
                  grid: Optional[SearchGrid] = None) -> Optional[Fraction]:
-    """First grid element of M with chi = (1,1), or None.
+    """An element of M with chi = (1,1), or None, searched on e normalised
+    to valuation 0..3.
 
-    The enumeration order of SearchGrid is deterministic, so the returned
-    witness is reproducible.  Absence is a legitimate result and is only
-    meaningful alongside a classifier verdict of {0}.
+    Write e = p^(4k) e' with k = floor(v(e)/4), so v(e') lies in 0..3.  For
+    x = p^(2k) x', x^2 - e = p^(4k) (x'^2 - e'), and p^(2k) and p^(4k) are
+    squares.  So x and x' lie in one square class, and so do x^2 - e and
+    x'^2 - e'.  Hence x is in M_e iff x' is in M_e', and
+    chi_e(x) = chi_e'(x'), since chi and membership read only those two
+    classes.  The surfaces for e and e' are the same up to this change of
+    variable, so the search runs on e' and the valuation window covers
+    every v(e).
+
+    The returned witness is p^(2k) times the first element of M_e' with
+    chi = (1,1) in SearchGrid order; for v(e) in 0..3 (k = 0) it is that
+    first grid element itself.  The order is deterministic, so the witness
+    is reproducible.  Absence is a legitimate result and is only meaningful
+    alongside a classifier verdict of {0}.
     """
     g = grid or SearchGrid()
     L, iso = _extensions(p, d, e)
     if iso:
         return None  # chi is diagonal-trivial when L = E
     e = _fraction(e)
+    a, b = e.numerator, e.denominator
+    # the walk starts at 0, whose classes are those of -e and -e' alike, so
+    # k stays None there and e becomes e' = a/b only once the walk moves on;
+    # a/b is in ints and need not be in lowest terms
+    k = None
     for x in g.candidates(p):
-        reps = _class_pair(p, x, e)
+        reps = _class_pair(p, x, a, b)
         # N(L*) has index 2, so two non-norm classes multiply to a norm
         # and x lies in M; the reps are canonical, so each test is a lookup
         if reps is not None and reps[0] not in L.norm_reps and reps[1] not in L.norm_reps:
-            return x
+            if not k:
+                return x
+            if k > 0:
+                return Fraction(x.numerator * p ** (2 * k), x.denominator)
+            return Fraction(x.numerator, x.denominator * p ** (-2 * k))
+        if k is None:
+            k = (int_valuation(p, a) - int_valuation(p, b)) // 4
+            if k > 0:
+                a //= p ** (4 * k)
+            elif k < 0:
+                a *= p ** (-4 * k)
     return None
 
 

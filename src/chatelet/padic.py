@@ -9,9 +9,9 @@ value is carried as an exact int or Fraction and no p-adic digits are ever
 truncated; there is no floating point anywhere in this package.
 
 Every class reduction at odd p reads the cached per-prime table of
-representatives (``_class_reps``), which is where p is checked: a composite
-p raises ValueError there.  The representatives have valuation 0 or 1, so
-v(rep) is odd iff rep % p == 0.
+representatives (``_class_reps``), built with ``smallest_nonresidue``, which
+is where p is checked: a composite p raises ValueError there.  The
+representatives have valuation 0 or 1, so v(rep) is odd iff rep % p == 0.
 """
 
 from __future__ import annotations
@@ -80,7 +80,12 @@ def frac_val_unit(p: int, q: Rational) -> tuple[int, Fraction]:
 
 
 def smallest_nonresidue(p: int) -> int:
-    """The canonical non-square unit for odd p: smallest positive non-residue."""
+    """The canonical non-square unit for odd p: smallest positive non-residue.
+
+    A composite p is refused, since Euler's criterion decides nothing there.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     for u in range(2, p):
         if pow(u, (p - 1) // 2, p) == p - 1:  # Euler's criterion
             return u
@@ -91,9 +96,7 @@ def smallest_nonresidue(p: int) -> int:
 def _class_reps(p: int) -> tuple[int, ...]:
     if p == 2:
         return (1, -1, 5, -5, 2, -2, 10, -10)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    u = smallest_nonresidue(p)
+    u = smallest_nonresidue(p)  # refuses a composite p
     return (1, u, p, u * p)
 
 

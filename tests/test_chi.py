@@ -9,6 +9,8 @@ import pytest
 from chatelet.chi import MAX_GRID_SIZE, ChiValue, SearchGrid, chi, find_witness, in_M, sample_M, verify_ramified_disjunction
 from chatelet.padic import rational_is_square, square_class_reps
 from chatelet.quadratic import build_extension
+from chatelet.surface import Outcome, classify_pair
+from chatelet.verify import _e_grid
 
 GRID2 = SearchGrid(max_abs_valuation=3, residue_depth=4)
 GRID_ODD = SearchGrid(max_abs_valuation=3, residue_depth=1)
@@ -105,6 +107,28 @@ class TestWitness:
         first = list(g.candidates(3))[:4]
         assert first[0] == 0
         assert all(x != 0 for x in first[1:])
+
+
+class TestScalingInvariance:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_witness_scales_with_e(self, p):
+        # e and e * p^(4j) give the same surface under x -> p^(2j) x, so the
+        # search finds the scaled witness, and one exists iff the verdict is
+        # Z/2Z, whatever v(e)
+        for d in square_class_reps(p)[1:]:
+            for e in _e_grid(p):
+                if rational_is_square(p, e):
+                    continue
+                w = find_witness(p, d, e)
+                for j in range(-3, 4):
+                    scale = Fraction(p) ** (2 * j)
+                    e_j = e * scale * scale
+                    w_j = find_witness(p, d, e_j)
+                    assert w_j == (None if w is None else w * scale), (p, d, e, j)
+                    z2 = classify_pair(p, d, e_j).outcome is Outcome.Z2
+                    assert (w_j is not None) == z2, (p, d, e, j)
+                    if z2:
+                        assert chi(p, w_j, d, e_j).as_tuple() == (1, 1), (p, d, e, j)
 
 
 class TestSearchGrid:

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from chatelet import cli
+from chatelet.hilbert import hilbert
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -17,6 +19,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def hilbert_recheck(p, d, e, x):
+    """x is in M with chi(x) = (1,1), by Hilbert symbols: a is a norm from
+    Q_p(sqrt d) iff (a, d)_p = 1."""
+    if x == 0:
+        return hilbert(p, -e, d) == -1
+    return (hilbert(p, x, d) == -1 and hilbert(p, x * x - e, d) == -1
+            and hilbert(p, x * (x * x - e), d) == 1)
 
 
 def load_schema(name):
@@ -198,22 +209,43 @@ class TestWitness:
         assert time.monotonic() - start < 2.0
 
     def test_self_check_failure_exit_one(self, capsys):
-        # Z/2Z surfaces whose grid holds no witness: {0, 1} for e = -10, and
-        # the default grid for e = 3 * 2^21, whose witness lies beyond the
-        # valuation window.  classify --with-witness fails its own witness
-        # check, and witness must not print a "no witness" that reads like {0}
+        # a Z/2Z surface whose grid, {0, 1}, holds no witness: classify
+        # --with-witness fails its own witness check, and witness must not
+        # print a "no witness" that reads like {0}
         for argv in (
                 ("classify", "-p", "2", "--d", "-1", "--e", "-10",
                  "--with-witness", "--window", "0", "--depth", "1"),
                 ("witness", "-p", "2", "--d", "-1", "--e", "-10",
-                 "--window", "0", "--depth", "1"),
-                ("witness", "-p", "2", "--d", "-1", "--e", "6291456")):
+                 "--window", "0", "--depth", "1")):
             start = time.monotonic()
             code, out, err = run(capsys, *argv)
             assert code == 1, argv
             assert err.startswith("error:") and err.count("\n") == 1 and out == ""
             assert "Traceback" not in err
             assert time.monotonic() - start < 2.0
+
+    @pytest.mark.parametrize("command", ["classify", "witness"])
+    @pytest.mark.parametrize("p, d, e, expected", [
+        (2, "-1", "6291456", "3072"),  # e = 3 * 2^21
+        (7, "7", "67618020872076774263589747", "4747561509943"),  # 3 * 7^30
+        (3, "2", str(Fraction(2, 3 ** 21)), None),
+        (5, "2", str(3 * 5 ** 401), None),
+    ], ids=["2^21", "7^30", "3^-21", "5^401"])
+    def test_witness_found_whatever_the_valuation_of_e(self, capsys, command,
+                                                        p, d, e, expected):
+        # the search runs on e / p^(4k) with v(e / p^(4k)) in 0..3, so the
+        # default valuation window holds a witness for every v(e); these
+        # witnesses once lay beyond it and the self-check exited 1
+        argv = [command, "-p", str(p), "--d", d, "--e", e, "--json"]
+        if command == "classify":
+            argv.append("--with-witness")
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        x = json.loads(out)["witness"]
+        assert expected is None or x == expected
+        assert hilbert_recheck(p, Fraction(d), Fraction(e), Fraction(x))
+        assert time.monotonic() - start < 2.0
 
     def test_unsearched_grid_is_not_refused(self, capsys):
         code, out, _ = run(capsys, "classify", "-p", "2", "--d", "5", "--e", "2",

@@ -138,6 +138,14 @@ def test_composite_p_refused(call, p):
         call(p)
 
 
+@pytest.mark.parametrize("n", [4, 9, 15, 21, 25])
+def test_smallest_nonresidue_refuses_composite(n):
+    # Euler's criterion mod a composite n decides nothing; 15 once gave 14
+    # and 4 gave 3
+    with pytest.raises(ValueError, match="not prime"):
+        smallest_nonresidue(n)
+
+
 def test_mixed_primes_rejected():
     with pytest.raises(ValueError):
         SquareClass(2, -5) * SquareClass(3, 2)
