@@ -14,7 +14,6 @@ from .surface import (
     classify_cubic,
     classify_pair,
     count_roots_cubic,
-    normalize_pair,
 )
 from .chi import ChiValue, SearchGrid, chi, find_witness, in_M, sample_M, verify_ramified_disjunction
 from .globalq import PlaceReport, bad_places, classify_all_places
@@ -24,7 +23,7 @@ __all__ = [
     "QuadExtElem", "SearchGrid", "SquareClass", "bad_places", "build_extension",
     "chi", "classify_all_places", "classify_cubic", "classify_pair",
     "count_roots_cubic", "epsilon", "find_witness", "hilbert", "hilbert_2",
-    "hilbert_odd", "hilbert_oracle", "in_M", "normalize_pair", "omega",
+    "hilbert_odd", "hilbert_oracle", "in_M", "omega",
     "sample_M", "s_invariant", "square_class_reps", "verify_ramified_disjunction",
 ]
 

@@ -36,9 +36,6 @@ class ChiValue:
     def as_tuple(self) -> tuple[int, int]:
         return (self.first, self.second)
 
-    def __iter__(self):
-        return iter((self.first, self.second))
-
     def __str__(self):
         return f"({self.first},{self.second})"
 

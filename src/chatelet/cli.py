@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .chi import SearchGrid, chi, find_witness
 from .globalq import DISCLAIMER, GlobalSplitError, classify_all_places
 from .hilbert import hilbert, hilbert_oracle, symbol_route
 from .padic import is_prime
-from .surface import InconsistencyError, Outcome, classify_cubic, classify_pair
+from .surface import InconsistencyError, Outcome, check_witness, classify_cubic, classify_pair
 from .verify import ALL_SUITES, run_suites
 
 EXIT_OK = 0
@@ -27,12 +28,19 @@ EXIT_INPUT_ERROR = 2
 EXIT_OUT_OF_SCOPE = 3
 
 
+# 'a' or 'a/b' with an optional sign; Fraction alone would also take
+# decimals and exponents, and 1e300000 is an int of 300,000 digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' with optional sign; arbitrary size, no decimals."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    """Parse 'a' or 'a/b' with optional sign; no decimals or exponents."""
+    if _RATIONAL.fullmatch(text.strip()):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or
+            pass                                 # too many digits for int()
+    raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
 def _prime(text: str) -> int:
@@ -126,14 +134,9 @@ def cmd_witness(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_SCOPE
+    # a search that contradicts the verdict either way reaches main, exit 1
+    check_witness(args.p, args.d, args.e, verdict.outcome, w, grid)
     if w is None:
-        if verdict.outcome is Outcome.Z2:
-            # a Z/2Z surface has a witness, so the grid is too small; a bare
-            # "no witness" would read like a {0} verdict
-            print(f"error: the search grid holds no witness, but the surface is "
-                  f"Z/2Z ({verdict.reason}); the grid is too small for it",
-                  file=sys.stderr)
-            return EXIT_SUITE_FAILURE
         payload = {"p": args.p, "d": str(args.d), "e": str(args.e),
                    "witness": None}
         _emit(args, payload, "no witness in the search grid")

@@ -9,8 +9,8 @@ value is carried as an exact int or Fraction and no p-adic digits are ever
 truncated; there is no floating point anywhere in this package.
 
 Every class reduction at odd p reads the cached per-prime table of
-representatives (``_class_reps``), built with ``smallest_nonresidue``, which
-is where p is checked: a composite p raises ValueError there.  The
+representatives (``square_class_reps``), built with ``smallest_nonresidue``,
+which is where p is checked: a composite p raises ValueError there.  The
 representatives have valuation 0 or 1, so v(rep) is odd iff rep % p == 0.
 """
 
@@ -93,19 +93,15 @@ def smallest_nonresidue(p: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _class_reps(p: int) -> tuple[int, ...]:
+def square_class_reps(p: int) -> tuple[int, ...]:
+    """Canonical coset representatives of Q_p^* / (Q_p^*)^2, cached per prime.
+
+    Eight classes for p = 2, four for odd p.
+    """
     if p == 2:
         return (1, -1, 5, -5, 2, -2, 10, -10)
     u = smallest_nonresidue(p)  # refuses a composite p
     return (1, u, p, u * p)
-
-
-def square_class_reps(p: int) -> list[int]:
-    """Canonical coset representatives of Q_p^* / (Q_p^*)^2.
-
-    Eight classes for p = 2, four for odd p.
-    """
-    return list(_class_reps(p))
 
 
 # odd units of Z_2 mod squares, keyed by residue mod 8
@@ -149,7 +145,7 @@ def rational_square_class_rep(p: int, q: Rational) -> int:
     if p == 2:
         rep = _UNIT_REP_2[n % 8]
         return 2 * rep if v % 2 else rep
-    unit_rep = _class_reps(p)[pow(n % p, (p - 1) // 2, p) != 1]
+    unit_rep = square_class_reps(p)[pow(n % p, (p - 1) // 2, p) != 1]
     return p * unit_rep if v % 2 else unit_rep
 
 
@@ -166,26 +162,17 @@ class SquareClass:
     rep: int
 
     def __post_init__(self):
-        if self.rep not in _class_reps(self.p):
+        if self.rep not in square_class_reps(self.p):
             raise ValueError(f"{self.rep} is not a canonical class rep for p={self.p}")
 
     @classmethod
-    def of(cls, p: int, x) -> "SquareClass":
-        """Square class of a nonzero rational or of an existing class."""
-        if isinstance(x, SquareClass):
-            if x.p != p:
-                raise ValueError("mixed primes")
-            return x
+    def of(cls, p: int, x: Rational) -> "SquareClass":
+        """Square class of a nonzero rational."""
         return cls(p, rational_square_class_rep(p, x))
 
     @property
     def is_trivial(self) -> bool:
         return self.rep == 1
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        return SquareClass(self.p, rational_square_class_rep(self.p, self.rep * other.rep))
 
     def __repr__(self):
         return f"SquareClass({self.rep} mod squares, p={self.p})"

@@ -69,9 +69,6 @@ class QuadExtElem:
         o = self._coerce(other)
         return QuadExtElem(self.parent, self.a + o.a, self.b + o.b)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return QuadExtElem(self.parent, -self.a, -self.b)
 

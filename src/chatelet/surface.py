@@ -20,7 +20,6 @@ from .padic import (
     frac_val_unit,
     is_prime,
     rational_is_square,
-    rational_square_class_rep,
 )
 from .quadratic import build_extension
 
@@ -70,18 +69,6 @@ def _check_prime(p: int):
         raise ValueError(f"{p} is not prime")
 
 
-def normalize_pair(p: int, d: Rational, e: Rational) -> tuple[Fraction, Fraction]:
-    """Reduce to v(e) in {0,1,2,3} (e' = p^{-4k} e) and v(d') in {0,1}
-    (square-class reduction of d).  Classification is invariant under this."""
-    d, e = Fraction(d), Fraction(e)
-    if d == 0 or e == 0:
-        raise ValueError("d and e must be nonzero")
-    v_e = frac_val_unit(p, e)[0]
-    e_prime = e * Fraction(p) ** (-4 * (v_e // 4))
-    d_prime = Fraction(rational_square_class_rep(p, d))
-    return d_prime, e_prime
-
-
 def classify_pair(p: int, d: Rational, e: Rational,
                   with_witness: bool = False,
                   grid=None) -> LocalChowResult:
@@ -124,15 +111,24 @@ def classify_pair(p: int, d: Rational, e: Rational,
     return result
 
 
+def check_witness(p, d, e, outcome: Outcome, w, grid) -> None:
+    """The dichotomy every witness search is checked against: a Z/2Z verdict
+    has a witness in the grid, and a {0} verdict has none.  InconsistencyError
+    if the search ``w`` (None when the grid holds no witness) contradicts
+    ``outcome``."""
+    if (w is not None) != (outcome is Outcome.Z2):
+        found = "no witness" if w is None else f"the witness x = {w}"
+        raise InconsistencyError(
+            f"classifier says {outcome.value} for (p={p}, d={d}, e={e}) but "
+            f"the search found {found} in {grid}; grid or arithmetic bug")
+
+
 def _attach_witness(p, d, e, result: LocalChowResult, grid):
     if result.outcome is not Outcome.Z2:
         return
     g = grid or SearchGrid()
     w = find_witness(p, d, e, g)
-    if w is None:
-        raise InconsistencyError(
-            f"classifier says Z/2Z for (p={p}, d={d}, e={e}) but no witness "
-            f"found in {g}; grid or arithmetic bug")
+    check_witness(p, d, e, result.outcome, w, g)
     result.witness = w
     result.details["chi"] = chi(p, w, d, e)
 

@@ -13,9 +13,9 @@ from itertools import product
 
 from .chi import SearchGrid, chi, find_witness, sample_M, verify_ramified_disjunction
 from .hilbert import hilbert, hilbert_oracle
-from .padic import frac_val_unit, rational_is_square, rational_square_class_rep, square_class_reps
+from .padic import rational_is_square, rational_square_class_rep, square_class_reps
 from .quadratic import build_extension, lambda_base, lambda_ext
-from .surface import Outcome, classify_pair
+from .surface import InconsistencyError, Outcome, check_witness, classify_pair
 
 
 def _summary(name, checks, failures):
@@ -91,9 +91,7 @@ def suite_filtration() -> dict:
                 failures.append(f"d={d}: lambda mismatch below s at i={i}")
         # gamma in U_s \ U_{s+1} is never a norm (residues mod 2^{s+2})
         for t in range(1, 2 ** (s + 2), 2):
-            gamma = 1 + t * 2 ** s
-            if frac_val_unit(2, gamma - 1)[0] != s:
-                continue
+            gamma = 1 + t * 2 ** s  # v(gamma - 1) = s, as t is odd
             checks += 1
             if L.is_norm(gamma):
                 failures.append(f"d={d}: gamma={gamma} in U_{s}\\U_{s+1} is a norm")
@@ -118,6 +116,7 @@ def suite_oracle() -> dict:
     """Classifier vs witness search: Z/2Z iff a (1,1)-witness exists; {0}
     forces chi = (0,0) on all of sampled M.  Also checks the diagonal law."""
     checks, failures = 0, []
+    grid = SearchGrid()
     for p in (2, 3, 5, 7):
         small = SearchGrid(max_abs_valuation=3,
                            residue_depth=4 if p == 2 else 1)
@@ -126,12 +125,12 @@ def suite_oracle() -> dict:
                 if rational_is_square(p, e):
                     continue
                 res = classify_pair(p, d, e)
-                w = find_witness(p, d, e)
                 checks += 1
-                if (res.outcome is Outcome.Z2) != (w is not None):
-                    failures.append(
-                        f"p={p},d={d},e={e}: classifier={res.outcome.value}, "
-                        f"witness={w}")
+                try:
+                    check_witness(p, d, e, res.outcome,
+                                  find_witness(p, d, e, grid), grid)
+                except InconsistencyError as exc:
+                    failures.append(str(exc))
                     continue
                 # a Z/2Z verdict excludes L = E, which classify_pair answers
                 # {0}, so the diagonal law applies on every Z/2Z surface

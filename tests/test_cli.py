@@ -11,6 +11,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from chatelet import cli
 from chatelet.hilbert import hilbert
+from chatelet.surface import LocalChowResult, Outcome
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -63,6 +64,21 @@ class TestClassify:
                              "--cubic", "1,x,2")
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "-p", "5", "--d", "2", "--e", "1e100000"),
+        ("classify", "-p", "5", "--d", "2", "--e", "1e300000"),
+        ("classify", "-p", "5", "--d", "2", "--cubic", "0,0,0.5"),
+        ("hilbert", "-p", "5", "0.5", "3"),
+    ], ids=["1e100000", "1e300000", "cubic-decimal", "hilbert-decimal"])
+    def test_decimal_or_exponent_exit_two(self, capsys, argv):
+        # Fraction alone takes both; an exponent builds an int past the
+        # 4300-digit guard, which then took p out one factor at a time
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "not a rational" in err and "Traceback" not in err and out == ""
+        assert time.monotonic() - start < 2.0
 
     def test_precision_option_is_gone(self, capsys):
         # every value is exact, so there is no working precision to set
@@ -223,6 +239,16 @@ class TestWitness:
             assert err.startswith("error:") and err.count("\n") == 1 and out == ""
             assert "Traceback" not in err
             assert time.monotonic() - start < 2.0
+
+    def test_witness_contradicting_a_zero_verdict_exit_one(self, capsys,
+                                                           monkeypatch):
+        # witness checks the verdict in both directions: a witness found on a
+        # surface classified {0} is an internal contradiction, not an answer
+        monkeypatch.setattr(cli, "classify_pair", lambda p, d, e: LocalChowResult(
+            Outcome.ZERO, "forced {0} verdict"))
+        code, out, err = run(capsys, "witness", "-p", "7", "--d", "7", "--e", "3")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and out == ""
 
     @pytest.mark.parametrize("command", ["classify", "witness"])
     @pytest.mark.parametrize("p, d, e, expected", [

@@ -6,7 +6,8 @@ reads each module's syntax tree with the standard library ``ast`` and fails
 on any imported name that is never referenced.  Names listed in a module's
 ``__all__`` count as used, since they are re-exported.  An import inside a
 function hides a module's dependencies from its header, so the package has
-none.
+none.  Likewise every name the package exports is referenced by a module of
+the package or of the benchmark, so an export that only tests reach fails.
 """
 
 import ast
@@ -18,6 +19,7 @@ import chatelet
 
 PACKAGE = sorted(Path(chatelet.__file__).parent.glob("*.py"))
 MODULES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def _bound_names(tree: ast.AST) -> dict[str, int]:
@@ -77,3 +79,17 @@ def test_no_imports_in_functions(path):
         for node in ast.walk(func)
         if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not nested, [f"{path.name}:{line}" for line in nested]
+
+
+def test_every_export_has_a_caller():
+    callers = [p for p in PACKAGE if p.name != "__init__.py"] + PERFBENCH
+    referenced = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert PERFBENCH
+    uncalled = sorted(set(chatelet.__all__) - referenced)
+    assert not uncalled, uncalled

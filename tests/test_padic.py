@@ -23,7 +23,7 @@ from chatelet.padic import (
     square_class_reps,
 )
 from chatelet.quadratic import build_extension, lambda_base
-from chatelet.surface import classify_cubic, classify_pair, count_roots_cubic, normalize_pair
+from chatelet.surface import classify_cubic, classify_pair, count_roots_cubic
 
 
 def brute_is_square_unit(p, u, k):
@@ -39,7 +39,8 @@ def brute_is_square_unit(p, u, k):
 def test_integer_arithmetic_embeds():
     # integers are exact: the class of 3 * 5 is the product of the classes
     assert frac_val_unit(2, 3 * 5) == (0, 15)
-    assert SquareClass.of(2, 3) * SquareClass.of(2, 5) == SquareClass.of(2, 15)
+    product = rational_square_class_rep(2, 3) * rational_square_class_rep(2, 5)
+    assert rational_square_class_rep(2, product) == rational_square_class_rep(2, 15)
 
 
 def test_valuation_and_unit_of_12():
@@ -50,7 +51,8 @@ def test_division_identity():
     fifth = Fraction(1, 5)
     assert fifth * 5 == 1
     assert frac_val_unit(5, fifth) == (-1, 1)
-    assert (SquareClass.of(5, fifth) * SquareClass.of(5, 5)).is_trivial
+    product = rational_square_class_rep(5, fifth) * rational_square_class_rep(5, 5)
+    assert rational_square_class_rep(5, product) == 1
 
 
 def test_product_valuation_is_sum():
@@ -123,13 +125,12 @@ def test_p_below_two_refused(call):
     lambda p: sample_M(p, 2, 3),
     lambda p: find_witness(p, 2, 3),
     lambda p: chi(p, 0, 2, 3),
-    lambda p: normalize_pair(p, 2, 3),
     lambda p: classify_pair(p, 2, 3),
     lambda p: classify_cubic(p, 2, 0, -3, 0),
     lambda p: count_roots_cubic(p, 0, -3, 0),
 ], ids=["rational_square_class_rep", "square_class_reps", "hilbert",
         "hilbert_oracle", "build_extension", "in_M", "sample_M",
-        "find_witness", "chi", "normalize_pair", "classify_pair",
+        "find_witness", "chi", "classify_pair",
         "classify_cubic", "count_roots_cubic"])
 def test_composite_p_refused(call, p):
     # a composite p has no square-class group to answer in; every entry
@@ -147,10 +148,11 @@ def test_smallest_nonresidue_refuses_composite(n):
 
 
 def test_mixed_primes_rejected():
-    with pytest.raises(ValueError):
-        SquareClass(2, -5) * SquareClass(3, 2)
-    with pytest.raises(ValueError):
-        SquareClass.of(3, SquareClass(2, 5))
+    # a canonical rep of one prime's table is no class of another's
+    with pytest.raises(ValueError, match="not a canonical class rep"):
+        SquareClass(3, -5)
+    with pytest.raises(ValueError, match="not a canonical class rep"):
+        SquareClass(2, 3)
 
 
 class TestIsSquare:
@@ -220,9 +222,16 @@ class TestSquareClass:
                 assert (rational_square_class_rep(p, n) == 1) == expect
 
     def test_class_group_multiplication(self):
-        a = SquareClass(2, -5)
-        b = SquareClass(2, 2)
-        assert (a * b).rep == -10
+        # the reps multiply as the group Q_p^*/(Q_p^*)^2: closed, with unit 1,
+        # associative, and every class its own inverse
+        for p in (2, 3, 5, 7):
+            reps = square_class_reps(p)
+            table = {(a, b): rational_square_class_rep(p, a * b)
+                     for a in reps for b in reps}
+            assert set(table.values()) == set(reps)
+            assert all(table[1, a] == a and table[a, a] == 1 for a in reps)
+            assert all(table[table[a, b], c] == table[a, table[b, c]]
+                       for a in reps for b in reps for c in reps)
 
 
 class TestEpsilonOmega:

@@ -220,7 +220,7 @@ class TestLambdaMaps:
     def test_lambda_on_extension_elements(self):
         ext = build_extension(2, -1)
         # 1 - (1 + pi_L) = -pi_L has valuation 1 in L
-        x = 1 + ext.pi_L
+        x = ext.pi_L + 1
         assert lambda_ext(ext, 1, x) == 1
         # the square of x sits one level deeper
         assert lambda_ext(ext, 1, x * x) == 0

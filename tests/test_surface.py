@@ -27,7 +27,6 @@ from chatelet.surface import (
     classify_pair,
     count_roots_cubic,
     cubic_discriminant,
-    normalize_pair,
 )
 
 SMALL = {2: SearchGrid(max_abs_valuation=3, residue_depth=4),
@@ -104,19 +103,6 @@ def bfs_count_roots_cubic(p, a, b, c):
     certificate = {"scaling": s, "hensel_depth": depth,
                    "disc_valuation": vd, "residues_certified": len(certified)}
     return len(roots), roots, certificate
-
-
-class TestNormalize:
-    def test_e_scaling_mod_p4(self):
-        d, e = normalize_pair(2, 5, 32)
-        assert e == 2
-
-    def test_d_reduced_to_class_rep(self):
-        d, e = normalize_pair(2, 12, 3)
-        assert d == -5
-
-    def test_identity_on_reduced_input(self):
-        assert normalize_pair(3, 2, 3) == (2, 3)
 
 
 class TestClassifyPair:
